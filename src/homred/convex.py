@@ -24,7 +24,7 @@ from fractions import Fraction
 from .csp import WeightedCspInstance, count_wcsp
 from .errors import HomredError
 from .graphs import Graph, components, contains_induced
-from .homcount import WeightTable, _component_two_colouring
+from .homcount import WeightTable
 
 
 @dataclass
@@ -294,15 +294,16 @@ def whom_via_csp(G: Graph, H: Graph, wt: WeightTable | None = None) -> Fraction:
     if wt.n != G.n or wt.h != H.n:
         raise HomredError("weight table dimensions do not match the instance")
 
+    if G.bipartition is None:
+        return Fraction(0)
+    left = G.bipartition[0]
+
     total = Fraction(1)
     for comp in components(G):
-        split = _component_two_colouring(G, comp)
-        if split is None:
-            return Fraction(0)
         sub, remap = G.subgraph(comp)
         wt_sub = WeightTable(sub.n, H.n, {remap[v]: wt.row(v) for v in comp})
-        s = tuple(sorted(remap[v] for v in split[0]))
-        sp = tuple(sorted(remap[v] for v in split[1]))
+        s = tuple(sorted(remap[v] for v in comp if v in left))
+        sp = tuple(sorted(remap[v] for v in comp if v not in left))
         z_own = count_wcsp(reduce_whom_side(sub, s, sp, order, wt_sub).instance)
         z_swap = count_wcsp(reduce_whom_side(sub, s, sp, order.swapped(), wt_sub).instance)
         total *= z_own + z_swap

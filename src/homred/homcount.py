@@ -9,22 +9,37 @@ with nonnegative rational vertex weights ``w_v``, per-edge ``h x h``
 tables ``T_e`` (defaulting to the target's adjacency matrix, which
 recovers plain homomorphism counting), entrywise edge multiplicities
 ``m_e``, and pendant-branch multiplicities ``mu_v``.  Arithmetic is kept
-exact throughout: values stay Python ints while every input is integral
-and switch to :class:`fractions.Fraction` otherwise.
+exact throughout: pendant absorption works on Python ints while every
+input is integral and on :class:`fractions.Fraction` otherwise, the
+elimination core works on ints alone, and the result is a normalised
+``Fraction``.
 
 Evaluation runs in three phases: pendant absorption (fold degree-one
 vertices into their neighbour, which is where branch multiplicities are
-resolved), isolated-vertex factoring, and bucket elimination over the
-remaining core with a greedy minimum-degree order.  Only the summed-out
-result factor of each elimination step is materialised.
+resolved), isolated-vertex factoring, and bucket elimination (Dechter,
+*Artificial Intelligence* 113, 1999) over the remaining core with a
+greedy minimum-degree order.
+
+The core is sparse and integer-only.  A factor is its sorted variables
+plus a dict from the radix-``h`` int index of an assignment (last
+variable fastest) to its value, holding only nonzero entries; every
+distinct edge table is converted once.  Before elimination each factor
+is scaled by the lcm of its denominators, so the joins multiply and add
+plain ints, and the product of those scales is divided out once at the
+end.  Eliminating a variable hash-joins the factors that hold it,
+smallest first: each join indexes the smaller table on the shared
+variables and streams the larger one through that index, and the last
+join sums the variable out as it goes, so no factor that still holds
+the variable outlives the step.  Since all values are positive, a join
+never creates a zero entry, and an empty factor means the whole sum is
+zero.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from math import lcm
 from typing import NamedTuple
 
 from .errors import HomredError
@@ -149,51 +164,75 @@ class EdgeWeightedInstance:
 
 class _Factor(NamedTuple):
     vars: tuple[int, ...]  # sorted
-    values: list  # flat, row-major over vars, radix h
+    table: dict[int, int]  # radix-h index over vars (last var fastest) -> nonzero value
+
+
+def _strides(vars_, h: int) -> dict[int, int]:
+    """Place value of each variable in a radix-h index over ``vars_``."""
+    k = len(vars_)
+    return {u: h ** (k - 1 - i) for i, u in enumerate(vars_)}
+
+
+def _entries(f: _Factor, h: int, key_stride: dict, out_stride: dict):
+    """Yield ``(key, out, value)`` per entry of ``f``: its colour digits
+    re-weighted by ``key_stride`` (the join key) and by ``out_stride``
+    (its share of the output index)."""
+    plan = [
+        (s, key_stride.get(u, 0), out_stride.get(u, 0))
+        for u, s in _strides(f.vars, h).items()
+        if u in key_stride or u in out_stride
+    ]
+    for idx, x in f.table.items():
+        key = out = 0
+        for s, ks, os_ in plan:
+            d = idx // s % h
+            key += d * ks
+            out += d * os_
+        yield key, out, x
+
+
+def _join(f: _Factor, g: _Factor, h: int, drop=None) -> _Factor:
+    """Hash join of two factors that share a variable; ``drop`` is summed out.
+
+    The index is built on the smaller table and the larger one streams
+    through it, so the work is the number of matching entry pairs.
+    """
+    out_vars = tuple(sorted(set(f.vars).union(g.vars) - {drop}))
+    out_stride = _strides(out_vars, h)
+    key_stride = _strides(sorted(set(f.vars).intersection(g.vars)), h)
+    small, big = (f, g) if len(f.table) <= len(g.table) else (g, f)
+    private = {u: s for u, s in out_stride.items() if u not in key_stride}
+    index: dict[int, list] = {}
+    for key, out, x in _entries(small, h, key_stride, private):
+        index.setdefault(key, []).append((out, x))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for key, out, x in _entries(big, h, key_stride, out_stride):
+        for o, y in index.get(key, ()):
+            o += out
+            acc[o] = get(o, 0) + x * y
+    return _Factor(out_vars, acc)
 
 
 def _eliminate(v: int, factors: list[_Factor], h: int) -> list[_Factor]:
-    touching = [f for f in factors if v in f.vars]
+    """Join the factors touching ``v`` smallest-first, summing ``v`` out in
+    the last join.  Every core variable keeps its own weight factor until
+    it is eliminated, so at least two factors touch ``v``."""
+    touching = sorted((f for f in factors if v in f.vars), key=lambda f: len(f.table))
     rest = [f for f in factors if v not in f.vars]
-    svars = sorted(set().union(*(f.vars for f in touching)) - {v})
-    k = len(svars)
-    pos = {u: i for i, u in enumerate(svars)}
-
-    # Per factor: strides of its surviving vars within an assignment of
-    # svars, plus the stride of v itself inside the factor's own layout.
-    plans = []
-    for f in touching:
-        strides = []
-        vstride = 0
-        step = 1
-        for u in reversed(f.vars):
-            if u == v:
-                vstride = step
-            else:
-                strides.append((pos[u], step))
-            step *= h
-        plans.append((f.values, strides, vstride))
-
-    values = []
-    for a in product(range(h), repeat=k):
-        total = 0
-        bases = [
-            (vals, sum(a[p] * s for p, s in strides), vstride)
-            for vals, strides, vstride in plans
-        ]
-        for c in range(h):
-            term = 1
-            for vals, base, vstride in bases:
-                x = vals[base + c * vstride]
-                if not x:
-                    term = 0
-                    break
-                term = term * x
-            if term:
-                total = total + term
-        values.append(total)
-    rest.append(_Factor(tuple(svars), values))
+    acc, *middle, last = touching
+    for f in middle:
+        acc = _join(acc, f, h)
+    rest.append(_join(acc, last, h, drop=v))
     return rest
+
+
+def _scaled(values) -> tuple[dict[int, int], int]:
+    """Nonzero entries of a flat value list as ints, and the common
+    denominator they were multiplied by."""
+    nz = {i: x for i, x in enumerate(values) if x}
+    d = lcm(*(x.denominator for x in nz.values()))
+    return {i: x.numerator * (d // x.denominator) for i, x in nz.items()}, d
 
 
 def count_ewhom(inst: EdgeWeightedInstance) -> Fraction:
@@ -207,13 +246,19 @@ def count_ewhom(inst: EdgeWeightedInstance) -> Fraction:
         row = inst.vertex_weights.get(v)
         weights.append([_num(x) for x in row] if row is not None else [1] * h)
 
+    # One prepared table per distinct (raw table, multiplicity) pair: edges
+    # without a table of their own share adjH.
+    prepared: dict[tuple[int, int], list[list]] = {}
     tables: dict[tuple[int, int], list[list]] = {}
     for e in G.edges:
         raw = inst.edge_tables.get(e)
-        T = [[_num(x) for x in row] for row in raw] if raw is not None else adjH
         m = inst.edge_mult.get(e, 1)
-        if m > 1:
-            T = entrywise_power(T, m)
+        T = prepared.get((id(raw), m))
+        if T is None:
+            T = [[_num(x) for x in row] for row in raw] if raw is not None else adjH
+            if m > 1:
+                T = entrywise_power(T, m)
+            prepared[id(raw), m] = T
         tables[e] = T
 
     def vmult(v: int) -> int:
@@ -265,15 +310,27 @@ def count_ewhom(inst: EdgeWeightedInstance) -> Fraction:
                 "but the vertex survives into the elimination core"
             )
 
-    # Phase 3: bucket elimination over the remaining core.
-    factors = [
-        _Factor(e, [T[cu][cv] for cu in range(h) for cv in range(h)])
-        for e, T in tables.items()
-        if e[0] in active
-    ]
-    factors += [_Factor((v,), weights[v]) for v in sorted(active)]
+    # Phase 3: bucket elimination over the remaining core, on ints: each
+    # factor is scaled by the lcm of its denominators, and the product of
+    # those scales is divided out once at the end.
+    sparse: dict[int, tuple[dict[int, int], int]] = {}
+    factors = []
+    scale = 1
+    for e, T in tables.items():
+        if e[0] in active:
+            if id(T) not in sparse:
+                sparse[id(T)] = _scaled([x for row in T for x in row])
+            table, d = sparse[id(T)]
+            factors.append(_Factor(e, table))
+            scale *= d
+    for v in sorted(active):
+        table, d = _scaled(weights[v])
+        factors.append(_Factor((v,), table))
+        scale *= d
 
     while True:
+        if any(not f.table for f in factors):
+            return Fraction(0)
         var_deg: dict[int, set[int]] = {}
         for f in factors:
             for u in f.vars:
@@ -283,9 +340,10 @@ def count_ewhom(inst: EdgeWeightedInstance) -> Fraction:
         v = min(var_deg, key=lambda u: (len(var_deg[u]) - 1, u))
         factors = _eliminate(v, factors, h)
 
+    core = 1
     for f in factors:  # all zero-var now
-        scalar = scalar * f.values[0]
-    return Fraction(scalar)
+        core *= f.table[0]
+    return Fraction(core, scale) * scalar
 
 
 def count_hom(G: Graph, H: Graph) -> int:
@@ -319,23 +377,6 @@ def count_hom_pinned(G: Graph, H: Graph, pins: dict[int, int]) -> int:
     return int(z)
 
 
-def _component_two_colouring(G: Graph, comp: list[int]):
-    """2-colour one component; sides as (S, S') with the smallest vertex in S."""
-    colour = {comp[0]: 0}
-    queue = deque([comp[0]])
-    while queue:
-        u = queue.popleft()
-        for v in G.neighbours(u):
-            if v not in colour:
-                colour[v] = 1 - colour[u]
-                queue.append(v)
-            elif colour[v] == colour[u]:
-                return None
-    side0 = [v for v in comp if colour[v] == 0]
-    side1 = [v for v in comp if colour[v] == 1]
-    return side0, side1
-
-
 def complete_bipartite_whom(G: Graph, H: Graph, wt: WeightTable) -> Fraction:
     """Closed-form weighted homomorphism sum into a complete bipartite target.
 
@@ -356,13 +397,14 @@ def complete_bipartite_whom(G: Graph, H: Graph, wt: WeightTable) -> Fraction:
     if wt.n != G.n or wt.h != H.n:
         raise HomredError("weight table dimensions do not match the instance")
     U, Up = parts
+    if G.bipartition is None:
+        return Fraction(0)
+    left = G.bipartition[0]
 
     total = Fraction(1)
     for comp in components(G):
-        split = _component_two_colouring(G, comp)
-        if split is None:
-            return Fraction(0)
-        S, Sp = split
+        S = [v for v in comp if v in left]
+        Sp = [v for v in comp if v not in left]
 
         def side_sum(v: int, side) -> Fraction:
             row = wt.row(v)

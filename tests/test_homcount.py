@@ -151,6 +151,141 @@ def test_count_ewhom_tables_and_multiplicities():
         )
 
 
+def _cycle_edges(k, offset=0):
+    return [(offset + j, offset + (j + 1) % k) for j in range(k)]
+
+
+# Elimination cores of treewidth 2 and 3 on at most seven vertices.
+DIFF_CORES = [
+    cycle_graph(3),
+    cycle_graph(5),
+    Graph(5, _cycle_edges(5) + [(0, 2)]),
+    Graph(6, _cycle_edges(6) + [(0, 3), (1, 4)]),
+    Graph(7, _cycle_edges(7) + [(0, 3)]),
+    complete_graph(4),
+    Graph(5, _cycle_edges(4, 1) + [(0, v) for v in range(1, 5)]),  # wheel W4
+    Graph(6, _cycle_edges(5, 1) + [(0, v) for v in range(1, 6)]),  # wheel W5
+]
+ENTRIES = st.sampled_from([0, 0, 1, 2, 3, Fraction(1, 2), Fraction(2, 3), Fraction(5, 4)])
+MAX_ASSIGNMENTS = 4096  # h ** n of the materialised graph, to keep the oracle quick
+
+
+@st.composite
+def ewhom_cases(draw):
+    """A relabelled core, optionally with a pendant branch of one or two
+    vertices carrying a vertex multiplicity, plus the instance data.
+
+    Returns the folded instance and the materialised graph (the branch
+    copied ``m`` times) with the weights, tables and multiplicities that
+    ``naive_ewhom`` reads for it."""
+    core = draw(st.sampled_from(DIFF_CORES))
+    k = core.n
+    branch = draw(st.integers(0, 2))
+    mult = draw(st.integers(2, 3)) if branch else 1
+    while k + mult * branch > 7:
+        if mult > 2:
+            mult -= 1
+        else:
+            branch -= 1
+    mult = mult if branch else 1
+    n_mat = k + mult * branch
+    h = draw(st.sampled_from([h for h in range(5, 1, -1) if h**n_mat <= MAX_ASSIGNMENTS]))
+
+    perm = draw(st.permutations(range(k)))
+    edges = [(perm[u], perm[v]) for u, v in core.edges]
+    if branch:
+        edges.append((draw(st.integers(0, k - 1)), k))
+    if branch == 2:
+        edges.append((k, k + 1))
+    G = Graph(k + branch, edges)
+    H = Graph(h, [(a, b) for a in range(h) for b in range(a + 1, h) if draw(st.booleans())])
+
+    def table():
+        T = [[draw(ENTRIES) for _ in range(h)] for _ in range(h)]
+        zero_row = draw(st.none() | st.integers(0, h - 1))
+        zero_col = draw(st.none() | st.integers(0, h - 1))
+        for c in range(h):
+            if zero_row is not None:
+                T[zero_row][c] = 0
+            if zero_col is not None:
+                T[c][zero_col] = 0
+        return T
+
+    tables = {e: table() for e in G.edges if draw(st.booleans())}
+    emult = {e: draw(st.integers(2, 3)) for e in G.edges if draw(st.booleans())}
+    weights = {
+        v: tuple(draw(ENTRIES) for _ in range(h)) for v in range(G.n) if draw(st.booleans())
+    }
+    folded = EdgeWeightedInstance(
+        G, H, vertex_weights=weights, edge_tables=tables, edge_mult=emult,
+        vertex_mult={k: mult} if branch else {},
+    )
+
+    # copy j of branch vertex k + i is k + j * branch + i; ids keep their
+    # order, so every copied edge keeps the orientation of its table
+    copy = lambda v, j: v if v < k else v + j * branch
+    mat_edges, mat_tables, mat_mult, mat_weights = [], {}, {}, {}
+    for j in range(mult):
+        for e in G.edges:
+            if j and e[1] < k:
+                continue
+            f = (copy(e[0], j), copy(e[1], j))
+            mat_edges.append(f)
+            if e in tables:
+                mat_tables[f] = tables[e]
+            if e in emult:
+                mat_mult[f] = emult[e]
+        for v, row in weights.items():
+            mat_weights[copy(v, j)] = row
+    materialised = (Graph(n_mat, mat_edges), H, mat_weights, mat_tables, mat_mult)
+    return folded, materialised
+
+
+@settings(max_examples=60, deadline=None)
+@given(ewhom_cases())
+def test_count_ewhom_matches_naive_on_rational_cores(case):
+    folded, (G, H, weights, tables, mult) = case
+    got = count_ewhom(folded)
+    assert type(got) is Fraction
+    assert got == naive_ewhom(G, H, vertex_weights=weights, edge_tables=tables, edge_mult=mult)
+
+
+def test_cycle_200_into_j3star_is_adjacency_trace():
+    H = j3star_tree().graph
+    h = H.n
+    A = [[0] * h for _ in range(h)]
+    for u, v in H.edges:
+        A[u][v] = A[v][u] = 1
+
+    def mul(X, Y):
+        cols = list(zip(*Y))
+        return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in X]
+
+    power = [[int(i == j) for j in range(h)] for i in range(h)]
+    k = 200
+    while k:  # repeated squaring
+        if k & 1:
+            power = mul(power, A)
+        A = mul(A, A)
+        k >>= 1
+    got = count_hom(cycle_graph(200), H)
+    assert type(got) is int
+    assert got == sum(power[i][i] for i in range(h))
+
+
+def test_grid_4x6_into_j3star_ignores_vertex_labels():
+    rows, cols = 4, 6
+    at = lambda i, j: i * cols + j
+    edges = [(at(i, j), at(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(at(i, j), at(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    H = j3star_tree().graph
+    n = rows * cols
+    want = count_hom(Graph(n, edges), H)
+    perm = list(range(n))
+    random.Random(23).shuffle(perm)
+    assert count_hom(Graph(n, [(perm[u], perm[v]) for u, v in edges]), H) == want
+
+
 def test_vertex_mult_equals_materialised_leaves():
     # one pendant leaf with multiplicity m vs m physical leaves
     H = junction_tree(3).graph
