@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,8 +45,15 @@ from .homcount import (
     adjacency_matrix,
     count_ewhom,
     matrix_product,
+    sum_product,
 )
-from .potts import enumeration_cap, potts_graph, potts_hypergraph
+from .potts import (
+    enumeration_cap,
+    histogram_sum,
+    hypergraph_mono_histogram,
+    potts_hypergraph,
+    potts_mono_histogram,
+)
 
 # Scale constants routinely exceed CPython's 4300-digit int<->str cap
 # (a default J3* run carries 4968^1555, ~5700 digits), so certificates
@@ -72,13 +80,7 @@ class CutInstance:
             raise HomredError("cut instances must be connected")
 
 
-def multiterminal_cuts(G: Graph, terminals) -> tuple[int, int]:
-    """Size and number of minimum edge sets separating all three terminals.
-
-    Enumerates edge subsets by increasing size and returns ``(b, N)``:
-    the smallest size b of a subset whose removal leaves the terminals
-    pairwise disconnected, and the number N of subsets of that size.
-    """
+def _check_cut_input(G: Graph, terminals):
     a, b, c = terminals
     if len({a, b, c}) != 3:
         raise HomredError("terminals must be three distinct vertices")
@@ -87,6 +89,41 @@ def multiterminal_cuts(G: Graph, terminals) -> tuple[int, int]:
     m = len(G.edges)
     if 2**m > enumeration_cap(default=2**24):
         raise HomredError(f"cut enumeration over {m} edges is above the cap")
+
+
+def multiterminal_cuts(G: Graph, terminals) -> tuple[int, int]:
+    """Size and number of minimum edge sets separating all three terminals.
+
+    Returns ``(b, N)``: the smallest size b of an edge set whose removal
+    leaves the terminals pairwise disconnected, and the number N of such
+    sets of size b.  As G is connected, each component left by a minimum
+    cut holds exactly one terminal, so minimum cuts correspond one to one
+    with the 3-colourings that pin the terminals to distinct colours and
+    have the fewest bichromatic edges.  Weighting a bichromatic edge by
+    X = 2^s, with 3^n < X, makes the elimination core's sum the integer
+    sum_k c_k X^k, where c_k <= 3^(n-3) counts the colourings with k
+    bichromatic edges: b is the index of its lowest nonzero base-X digit
+    and N is that digit.  Refuses the same instances as
+    :func:`multiterminal_cuts_oracle`, the subset enumeration.
+    """
+    _check_cut_input(G, terminals)
+    s = (3**G.n).bit_length()
+    X = 1 << s
+    weights = [[1, 1, 1] for _ in range(G.n)]
+    for colour, t in enumerate(terminals):
+        weights[t] = [int(c == colour) for c in range(3)]
+    cost = [[1 if c == d else X for d in range(3)] for c in range(3)]
+    P = int(sum_product(G, 3, weights, dict.fromkeys(G.edges, cost)))
+    b = ((P & -P).bit_length() - 1) // s
+    return b, (P >> (b * s)) & (X - 1)
+
+
+def multiterminal_cuts_oracle(G: Graph, terminals) -> tuple[int, int]:
+    """:func:`multiterminal_cuts` by enumerating edge subsets by increasing
+    size: the ground truth that certificate verification uses."""
+    _check_cut_input(G, terminals)
+    a, b, c = terminals
+    m = len(G.edges)
 
     def separated(removed: frozenset) -> bool:
         parent = list(range(G.n))
@@ -178,24 +215,62 @@ class ReductionCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "ReductionCertificate":
+        """Parse a certificate, checking its keys and the types of its inputs.
+
+        Every defect ends in a :class:`HomredError`; values that are well
+        typed but out of range are refused later, by the rebuild.
+        """
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise HomredError(f"certificate is not valid JSON: {exc}") from None
-        try:
-            kind = payload["kind"]
-            if kind not in _BUILDERS:
-                raise HomredError(f"unknown certificate kind {kind!r}")
-            cert = cls(
-                kind=kind,
-                inputs=dict(payload["inputs"]),
-                constants=dict(payload["constants"]),
-                counters=dict(payload.get("counters", {})),
-                slack=Fraction(payload["slack"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise HomredError(f"malformed certificate: {exc}") from None
-        return cert
+        if not isinstance(payload, dict):
+            raise _malformed("the top level is not an object")
+        kind = payload.get("kind")
+        if not isinstance(kind, str) or kind not in _INPUTS:
+            raise HomredError(f"unknown certificate kind {kind!r}")
+        parts = {k: payload.get(k) for k in ("inputs", "constants")}
+        parts["counters"] = payload.get("counters", {})
+        for name, part in parts.items():
+            if not isinstance(part, dict):
+                raise _malformed(f"{name} is not an object")
+        for key, (check, want) in _INPUTS[kind].items():
+            if key not in parts["inputs"]:
+                raise _malformed(f"inputs.{key} is missing")
+            if not check(parts["inputs"][key]):
+                raise _malformed(f"inputs.{key} is not {want}")
+        if not _is_rational(payload.get("slack")):
+            raise _malformed("slack is not a rational number")
+        return cls(kind=kind, slack=Fraction(payload["slack"]), **parts)
+
+
+def _malformed(what: str) -> HomredError:
+    return HomredError(f"malformed certificate: {what}")
+
+
+def _is_int(x) -> bool:
+    return type(x) is int
+
+
+def _is_rational(x) -> bool:
+    """An int, or a string as ``str(Fraction)`` writes it."""
+    return _is_int(x) or (
+        isinstance(x, str)
+        and re.fullmatch(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?", x) is not None
+    )
+
+
+def _int_lists(obj, key: str, arity: int | None = None):
+    """``n`` and the int tuples under ``key`` of a serialised (hyper)graph,
+    or ``None`` when ``obj`` does not have that shape."""
+    if not isinstance(obj, dict) or not _is_int(obj.get("n")) or not isinstance(obj.get(key), list):
+        return None
+    items = []
+    for t in obj[key]:
+        if not isinstance(t, list) or not all(map(_is_int, t)) or arity not in (None, len(t)):
+            return None
+        items.append(tuple(t))
+    return obj["n"], items
 
 
 def _graph_to_obj(g: Graph) -> dict:
@@ -203,7 +278,10 @@ def _graph_to_obj(g: Graph) -> dict:
 
 
 def _graph_from_obj(obj) -> Graph:
-    return Graph(obj["n"], [tuple(e) for e in obj["edges"]])
+    fields = _int_lists(obj, "edges", 2)
+    if fields is None:
+        raise _malformed("a graph is not {n: int, edges: [[int, int], ...]}")
+    return Graph(*fields)
 
 
 def _hypergraph_to_obj(hg: Hypergraph) -> dict:
@@ -211,7 +289,33 @@ def _hypergraph_to_obj(hg: Hypergraph) -> dict:
 
 
 def _hypergraph_from_obj(obj) -> Hypergraph:
-    return Hypergraph(obj["n"], [tuple(f) for f in obj["hyperedges"]])
+    fields = _int_lists(obj, "hyperedges")
+    if fields is None:
+        raise _malformed("a hypergraph is not {n: int, hyperedges: [[int, ...], ...]}")
+    return Hypergraph(*fields)
+
+
+_GRAPH = (lambda x: _int_lists(x, "edges", 2) is not None, "a graph {n, edges}")
+_HYPERGRAPH = (lambda x: _int_lists(x, "hyperedges") is not None, "a hypergraph {n, hyperedges}")
+_INT = (_is_int, "an integer")
+_TERMINALS = (
+    lambda x: isinstance(x, list) and len(x) == 3 and all(map(_is_int, x)),
+    "a list of three integers",
+)
+
+# the inputs each kind's rebuild reads, with their types
+_INPUTS = {
+    "cut-to-whom": {"graph": _GRAPH, "terminals": _TERMINALS, "target": _GRAPH, "s": _INT},
+    "potts-to-jq": {"graph": _GRAPH, "q": _INT, "s": _INT},
+    "jq-to-hyperpotts": {"graph": _GRAPH, "q": _INT, "side": (lambda x: isinstance(x, str), "a string")},
+    "uniformize": {
+        "hypergraph": _HYPERGRAPH,
+        "q": _INT,
+        "gamma": (_is_rational, "a rational number"),
+        "s": _INT,
+    },
+    "cut-to-j3star": {"graph": _GRAPH, "terminals": _TERMINALS, "s": _INT, "r": _INT},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +804,6 @@ def _rebuild(cert: ReductionCertificate):
     raise HomredError(f"unknown certificate kind {kind!r}")
 
 
-_BUILDERS = ("cut-to-whom", "potts-to-jq", "jq-to-hyperpotts", "uniformize", "cut-to-j3star")
-
-
 def _value_of(cert: ReductionCertificate, built) -> Fraction:
     if cert.kind in ("cut-to-whom", "cut-to-j3star"):
         return count_ewhom(built)
@@ -722,20 +823,25 @@ def certificate_value(cert: ReductionCertificate) -> Fraction:
 
 
 def certificate_oracle(cert: ReductionCertificate) -> Fraction:
-    """Independent ground truth for the quantity the reduction encodes."""
+    """Independent ground truth for the quantity the reduction encodes.
+
+    Uses the exhaustive oracles only (subset enumeration for cuts, the
+    spin histograms for Potts sums), never the elimination core that the
+    counting side runs on.
+    """
     kind, inp = cert.kind, cert.inputs
     if kind in ("cut-to-whom", "cut-to-j3star"):
-        _, ncuts = multiterminal_cuts(_graph_from_obj(inp["graph"]), tuple(inp["terminals"]))
+        G = _graph_from_obj(inp["graph"])
+        _, ncuts = multiterminal_cuts_oracle(G, tuple(inp["terminals"]))
         return Fraction(ncuts)
     if kind == "potts-to-jq":
-        return potts_graph(_graph_from_obj(inp["graph"]), inp["q"], 1)
+        return histogram_sum(potts_mono_histogram(_graph_from_obj(inp["graph"]), inp["q"]), 1)
     if kind == "jq-to-hyperpotts":
         built, _ = _rebuild(cert)
-        return potts_hypergraph(built.hypergraph, inp["q"], 1)
+        return histogram_sum(hypergraph_mono_histogram(built.hypergraph, inp["q"]), 1)
     if kind == "uniformize":
-        return potts_hypergraph(
-            _hypergraph_from_obj(inp["hypergraph"]), inp["q"], Fraction(inp["gamma"])
-        )
+        HG = _hypergraph_from_obj(inp["hypergraph"])
+        return histogram_sum(hypergraph_mono_histogram(HG, inp["q"]), Fraction(inp["gamma"]))
     raise HomredError(f"unknown certificate kind {kind!r}")
 
 

@@ -14,6 +14,11 @@ input is integral and on :class:`fractions.Fraction` otherwise, the
 elimination core works on ints alone, and the result is a normalised
 ``Fraction``.
 
+:func:`count_ewhom` checks and normalises its inputs and hands them to
+:func:`sum_product`, the elimination core, which takes entries of any
+sign.  The Potts sums and the minimum 3-terminal cuts are evaluated by
+the same core (see :mod:`homred.potts` and :mod:`homred.gadgets`).
+
 Evaluation runs in three phases: pendant absorption (fold degree-one
 vertices into their neighbour, which is where branch multiplicities are
 resolved), isolated-vertex factoring, and bucket elimination (Dechter,
@@ -30,9 +35,9 @@ end.  Eliminating a variable hash-joins the factors that hold it,
 smallest first: each join indexes the smaller table on the shared
 variables and streams the larger one through that index, and the last
 join sums the variable out as it goes, so no factor that still holds
-the variable outlives the step.  Since all values are positive, a join
-never creates a zero entry, and an empty factor means the whole sum is
-zero.
+the variable outlives the step.  An empty factor means the whole sum
+is zero; with signed entries a join may also produce explicit zero
+entries, which are kept and do no harm.
 """
 
 from __future__ import annotations
@@ -260,9 +265,29 @@ def count_ewhom(inst: EdgeWeightedInstance) -> Fraction:
                 T = entrywise_power(T, m)
             prepared[id(raw), m] = T
         tables[e] = T
+    return sum_product(G, h, weights, tables, inst.vertex_mult)
+
+
+def sum_product(G: Graph, h: int, weights, tables, vertex_mult=None) -> Fraction:
+    """The elimination core behind :func:`count_ewhom`, on prepared inputs:
+
+        sum over sigma in [h]^V of  prod_v weights[v][sigma(v)]^{mu_v}
+                                   * prod_e tables[e][sigma(u)][sigma(v)]
+
+    ``weights`` is a list holding one list of ``h`` ints or Fractions per
+    vertex, and ``tables`` a dict holding one ``h x h`` table per edge
+    ``(u, v)``, ``u < v``, with rows indexed by the colour of ``u``;
+    edges holding the same table object share one sparse copy of it.
+    ``vertex_mult`` (``mu_v``) replicates the pendant branch at a
+    vertex, as in :class:`EdgeWeightedInstance`.  Entries may have any
+    sign: the core only multiplies and adds.  Both ``weights`` and
+    ``tables`` are used up: pendant absorption folds branches into the
+    weight lists in place and removes the absorbed edges' tables.
+    """
+    vertex_mult = vertex_mult or {}
 
     def vmult(v: int) -> int:
-        return inst.vertex_mult.get(v, 1)
+        return vertex_mult.get(v, 1)
 
     active = set(range(G.n))
     nbrs = {v: set(G.neighbours(v)) for v in range(G.n)}

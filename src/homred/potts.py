@@ -1,14 +1,29 @@
-"""Potts partition functions on graphs and hypergraphs, by enumeration.
+"""Potts partition functions on graphs and hypergraphs.
 
-These are the reference evaluators the reduction machinery is checked
-against, so they stay deliberately direct: iterate over all q^n spin
-assignments, histogram the number of monochromatic (hyper)edges, and
-evaluate sum_k count_k * (1+gamma)^k.  The histogram is exposed
-separately so several gamma values can share one enumeration pass.
+:func:`potts_hypergraph` evaluates the sum as a weighted homomorphism
+count, on the elimination core of :mod:`homred.homcount`: each distinct
+hyperedge f, of multiplicity mu, becomes an auxiliary vertex joined to
+the members of f.  Original vertices take colours 1..q; an auxiliary
+vertex takes 0..q, where 0 means "no colour chosen" (the centre of the
+junction tree J_q) and weighs 1, and every colour c >= 1 weighs
+delta = (1+gamma)^mu - 1 and requires every member to have colour c.
+Summing the auxiliary vertex out gives 1 + delta * [f monochromatic],
+which is (1+gamma)^mu on a monochromatic f and 1 otherwise, so the cost
+is exponential only in the width of the incidence graph.
+:func:`potts_graph` is the same sum on the 2-uniform hypergraph of the
+edges.  Negative entries (gamma < 0) are fine: the core is exact and
+sign-agnostic.
 
-Enumeration refuses instances with q^n (or 2^m for the random-cluster
+The enumerators stay as the oracles: :func:`potts_mono_histogram` for
+graphs and :func:`hypergraph_mono_histogram` for hypergraphs iterate
+over all q^n spin assignments and histogram the number of monochromatic
+(hyper)edges; :func:`histogram_sum` evaluates such a histogram at a
+gamma, and :func:`random_cluster_graph` is the subset expansion.
+Certificate verification takes its ground truth from them.
+
+Every sum refuses instances with q^n (or 2^m for the random-cluster
 sum) beyond a cap of 10^8, overridable through the HOMRED_ENUM_CAP
-environment variable.
+environment variable; the elimination path keeps the same refusal.
 """
 
 from __future__ import annotations
@@ -22,7 +37,7 @@ from typing import NamedTuple
 
 from .errors import HomredError
 from .graphs import Graph, Hypergraph, complete_graph, two_stretch
-from .homcount import count_hom
+from .homcount import count_hom, sum_product
 
 
 def enumeration_cap(default: int = 10**8) -> int:
@@ -34,6 +49,13 @@ def _check_cap(size: int, what: str):
     cap = enumeration_cap()
     if size > cap:
         raise HomredError(f"{what} needs {size} enumeration steps, above the cap of {cap}")
+
+
+def _check_potts_size(n: int, q: int):
+    """The refusals every Potts sum shares, enumerated or not."""
+    if q < 1:
+        raise HomredError("Potts model needs q >= 1 spins")
+    _check_cap(q**n, f"Potts sum on {n} vertices with q={q}")
 
 
 @dataclass(frozen=True)
@@ -49,9 +71,7 @@ class PottsParams:
 
 def potts_mono_histogram(G: Graph, q: int) -> dict[int, int]:
     """How many spin assignments have exactly k monochromatic edges, per k."""
-    if q < 1:
-        raise HomredError("Potts model needs q >= 1 spins")
-    _check_cap(q**G.n, f"Potts sum on {G.n} vertices with q={q}")
+    _check_potts_size(G.n, q)
     hist: Counter[int] = Counter()
     edges = G.edges
     for sigma in product(range(q), repeat=G.n):
@@ -63,12 +83,16 @@ def potts_mono_histogram(G: Graph, q: int) -> dict[int, int]:
     return dict(hist)
 
 
+def histogram_sum(hist: dict[int, int], gamma) -> Fraction:
+    """sum_k hist[k] * (1+gamma)^k: the Potts sum of a histogram of
+    monochromatic (hyper)edge counts."""
+    base = 1 + Fraction(gamma)
+    return sum((cnt * base**k for k, cnt in hist.items()), Fraction(0))
+
+
 def potts_graph(G: Graph, q: int, gamma) -> Fraction:
     """Z_Potts(G; q, gamma) = sum_sigma prod_edges (1 + gamma * [same spin])."""
-    gamma = Fraction(gamma)
-    hist = potts_mono_histogram(G, q)
-    base = 1 + gamma
-    return sum((cnt * base**k for k, cnt in hist.items()), Fraction(0))
+    return potts_hypergraph(Hypergraph(G.n, G.edges), q, gamma)
 
 
 def hypergraph_mono_histogram(HG: Hypergraph, q: int) -> dict[int, int]:
@@ -77,9 +101,7 @@ def hypergraph_mono_histogram(HG: Hypergraph, q: int) -> dict[int, int]:
     Duplicate hyperedges act as independent factors, so a hyperedge with
     multiplicity m contributes m to the exponent when monochromatic.
     """
-    if q < 1:
-        raise HomredError("Potts model needs q >= 1 spins")
-    _check_cap(q**HG.n, f"Potts sum on {HG.n} vertices with q={q}")
+    _check_potts_size(HG.n, q)
     grouped = Counter(HG.hyperedges)
     hist: Counter[int] = Counter()
     for sigma in product(range(q), repeat=HG.n):
@@ -93,11 +115,24 @@ def hypergraph_mono_histogram(HG: Hypergraph, q: int) -> dict[int, int]:
 
 
 def potts_hypergraph(HG: Hypergraph, q: int, gamma) -> Fraction:
-    """Hypergraph Potts sum; a hyperedge is satisfied iff monochromatic."""
-    gamma = Fraction(gamma)
-    hist = hypergraph_mono_histogram(HG, q)
-    base = 1 + gamma
-    return sum((cnt * base**k for k, cnt in hist.items()), Fraction(0))
+    """Hypergraph Potts sum; a hyperedge is satisfied iff monochromatic.
+
+    Evaluated on the incidence graph (see the module docstring).
+    """
+    _check_potts_size(HG.n, q)
+    base = 1 + Fraction(gamma)
+    grouped = Counter(HG.hyperedges)
+    n = HG.n
+    weights = [[0] + [1] * q for _ in range(n)]
+    edges = []
+    for y, (f, mult) in enumerate(grouped.items(), start=n):
+        weights.append([1] + [base**mult - 1] * q)
+        edges.extend((u, y) for u in f)
+    # rows by the member's colour: a member never takes 0, and follows y
+    # unless y is 0
+    incidence = [[int(c > 0 and y in (0, c)) for y in range(q + 1)] for c in range(q + 1)]
+    G = Graph(n + len(grouped), edges)
+    return sum_product(G, q + 1, weights, dict.fromkeys(G.edges, incidence))
 
 
 def random_cluster_graph(G: Graph, q: int, gamma) -> Fraction:

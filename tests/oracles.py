@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import networkx as nx
 
@@ -110,6 +110,18 @@ def naive_contains_induced(G: Graph, P: Graph) -> bool:
             if not ok:
                 break
         if ok:
+            return True
+    return False
+
+
+def naive_contains_induced_tree(T: Graph, P: Graph) -> bool:
+    """Whether the tree P occurs as an induced subgraph of T: tries every
+    vertex subset of P's size and compares the induced subgraph, when it
+    is a tree, with P by canonical form."""
+    want = ahu_canonical(P)
+    for verts in combinations(range(T.n), P.n):
+        sub, _ = T.subgraph(verts)
+        if sub.is_tree() and ahu_canonical(sub) == want:
             return True
     return False
 

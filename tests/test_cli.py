@@ -269,6 +269,45 @@ def test_verify_certificate_tampered(tmp_path, capsys):
     assert "constants_ok: no" in out
 
 
+def _hostile_certificate(tmp_path, capsys, edit):
+    """A cut-to-whom certificate of P3, edited, then verified."""
+    g = put(tmp_path, "p3.graph", P3)
+    prefix = str(tmp_path / "p3cut")
+    code, _, _ = run(capsys, "reduce", "cut-to-whom", "--terminals", "0,1,2",
+                     "--target", "jq:3", "--out", prefix, g)
+    assert code == 0
+    cert_path = pathlib.Path(prefix + ".cert.json")
+    payload = json.loads(cert_path.read_text())
+    edit(payload)
+    cert_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "certificate", str(cert_path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: malformed certificate: ")
+    return err
+
+
+def test_verify_certificate_missing_input(tmp_path, capsys):
+    err = _hostile_certificate(tmp_path, capsys, lambda c: c["inputs"].pop("s"))
+    assert "inputs.s is missing" in err
+
+
+def test_verify_certificate_non_integer_edge(tmp_path, capsys):
+    def edit(c):
+        c["inputs"]["graph"]["edges"][0] = [0, "x"]
+
+    err = _hostile_certificate(tmp_path, capsys, edit)
+    assert "inputs.graph" in err
+
+
+def test_verify_certificate_fractional_q(tmp_path, capsys):
+    def edit(c):
+        c["kind"] = "potts-to-jq"
+        c["inputs"] = {"graph": c["inputs"]["graph"], "q": 3.5, "s": 2}
+
+    err = _hostile_certificate(tmp_path, capsys, edit)
+    assert "inputs.q is not an integer" in err
+
+
 def test_verify_potts_we(tmp_path, capsys):
     g = put(tmp_path, "k2.graph", K2)
     code, out, _ = run(capsys, "verify", "potts-we", "-p", "3", "-k", "1", "--lambda", "1/2", g)

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homred.errors import HomredError
 from homred.gadgets import (
@@ -25,12 +27,14 @@ from homred.gadgets import (
     minimal_potts_jq_s,
     minimal_uniformize_s,
     multiterminal_cuts,
+    multiterminal_cuts_oracle,
     uniformize,
     verify_certificate,
 )
 from homred.graphs import (
     Graph,
     Hypergraph,
+    complete_graph,
     cycle_graph,
     j3star_tree,
     junction_tree,
@@ -108,6 +112,35 @@ def test_cut_counts_vs_naive():
                 break
         terminals = tuple(rng.sample(range(n), 3))
         assert multiterminal_cuts(G, terminals) == naive_cuts(G, terminals)
+
+
+@st.composite
+def connected_cut_cases(draw):
+    """A random spanning tree plus random chords on n <= 8 vertices, and
+    three distinct terminals."""
+    n = draw(st.integers(3, 8))
+    order = draw(st.permutations(range(n)))
+    edges = {tuple(sorted((order[i], order[draw(st.integers(0, i - 1))]))) for i in range(1, n)}
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    edges.update(draw(st.lists(st.sampled_from(pool), max_size=6)) if pool else [])
+    return Graph(n, edges), tuple(draw(st.permutations(range(n)))[:3])
+
+
+@settings(max_examples=80, deadline=None)
+@given(connected_cut_cases())
+@example((complete_graph(4), (0, 1, 2)))  # b = 5, N = 3
+@example((complete_graph(5), (4, 0, 2)))  # b = 7, N = 3
+@example((cycle_graph(6), (0, 2, 4)))  # b = 3, N = 8
+def test_cut_counts_match_naive_on_connected_graphs(case):
+    G, terminals = case
+    assert multiterminal_cuts(G, terminals) == naive_cuts(G, terminals)
+
+
+def test_cut_examples_have_large_tied_minimum_cuts():
+    assert multiterminal_cuts(complete_graph(4), (0, 1, 2)) == (5, 3)
+    assert multiterminal_cuts(complete_graph(5), (4, 0, 2)) == (7, 3)
+    assert multiterminal_cuts(cycle_graph(6), (0, 2, 4)) == (3, 8)
+    assert multiterminal_cuts_oracle(cycle_graph(6), (0, 2, 4)) == (3, 8)
 
 
 def test_cut_instance_validation():
@@ -457,6 +490,41 @@ def test_certificate_value_and_oracle():
     inst, cert = build_cut_to_whom(cut, junction_tree(3).graph)
     assert certificate_value(cert) == count_ewhom(inst) == cert.value()
     assert certificate_oracle(cert) == 3
+
+
+def test_certificate_oracle_never_touches_the_counting_engine(monkeypatch):
+    cut = CutInstance(star_graph(3), (1, 2, 3))
+    P3 = CutInstance(path_graph(3), (0, 1, 2))
+    HG = Hypergraph(3, [(0, 1), (0, 1, 2), (2,)])
+    certs = {
+        "cut-to-whom": build_cut_to_whom(cut, junction_tree(3).graph)[1],
+        "cut-to-j3star": build_cut_to_j3star(P3, s_override=1, r_override=1)[1],
+        "potts-to-jq": build_potts_to_jq(path_graph(3), 3)[1],
+        "jq-to-hyperpotts": build_jq_to_hyperpotts(path_graph(4), 3)[1],
+        "uniformize": uniformize(HG, 2, Fraction(1), s_override=1)[1],
+    }
+    want = {
+        "cut-to-whom": 3,
+        "cut-to-j3star": 1,
+        "potts-to-jq": potts_graph(path_graph(3), 3, 1),
+        "jq-to-hyperpotts": potts_hypergraph(Hypergraph(2, [(0,), (0, 1)]), 3, 1),
+        "uniformize": potts_hypergraph(HG, 2, 1),
+    }
+    assert want["potts-to-jq"] == 48 and want["jq-to-hyperpotts"] == 24
+
+    def engine(*args, **kwargs):
+        raise AssertionError("certificate_oracle reached the counting engine")
+
+    for name, module in list(sys.modules.items()):
+        if name == "homred" or name.startswith("homred."):
+            for attr in ("count_ewhom", "count_hom", "count_whom", "sum_product"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, engine)
+    with pytest.raises(AssertionError, match="counting engine"):
+        multiterminal_cuts(cut.graph, cut.terminals)
+    for kind, cert in certs.items():
+        assert cert.kind == kind
+        assert certificate_oracle(cert) == want[kind]
 
 
 def test_verify_respects_inclusive_bounds():

@@ -27,7 +27,13 @@ from homred.graphs import (
     star_tree,
     path_tree,
 )
-from oracles import ahu_canonical, naive_contains_induced, nonisomorphic_trees, random_tree
+from oracles import (
+    ahu_canonical,
+    naive_contains_induced,
+    naive_contains_induced_tree,
+    nonisomorphic_trees,
+    random_tree,
+)
 
 
 def test_edge_normalisation_and_rejection():
@@ -172,9 +178,9 @@ def test_classify_trichotomy_exhaustive():
     for n in range(2, 10):
         for T in nonisomorphic_trees(n):
             kind = classify_tree(T)
-            if naive_contains_induced(T, J3):
+            if naive_contains_induced_tree(T, J3):
                 assert kind == CONTAINS_J3
-            elif naive_contains_induced(T, P4):
+            elif naive_contains_induced_tree(T, P4):
                 assert kind == BIS_EQUIVALENT
             else:
                 assert kind == STAR

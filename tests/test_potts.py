@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homred.errors import HomredError
 from homred.graphs import (
@@ -133,6 +134,49 @@ def test_graph_potts_on_two_vertex_hyperedges_agrees():
         q = rng.randint(1, 3)
         gamma = Fraction(rng.randint(1, 3), 2)
         assert potts_hypergraph(hg, q, gamma) == potts_graph(G, q, gamma)
+
+
+GAMMAS = st.sampled_from([-3, -2, -1, Fraction(-3, 2), Fraction(-1, 2), 0]) | st.fractions(
+    min_value=-3, max_value=3, max_denominator=4
+)
+
+
+@st.composite
+def hypergraph_cases(draw, uniform=None):
+    """(n, hyperedges, q, gamma) with q^n <= 1024: isolated vertices, n = 0,
+    singleton and duplicate hyperedges all occur."""
+    q = draw(st.integers(1, 4))
+    n = draw(st.integers(0, {1: 7, 2: 7, 3: 6, 4: 5}[q]))
+    size = st.just(uniform) if uniform else st.integers(1, max(n, 1))
+    hyperedges = []
+    if n >= (uniform or 1):
+        for _ in range(draw(st.integers(0, 6))):
+            f = tuple(draw(st.permutations(range(n)))[: draw(size)])
+            hyperedges.extend([f] * draw(st.sampled_from([1, 1, 2])))
+    return n, hyperedges, q, Fraction(draw(GAMMAS))
+
+
+@settings(max_examples=120, deadline=None)
+@given(hypergraph_cases())
+@example((0, [], 3, Fraction(-1)))
+@example((3, [(0,), (0, 1, 2), (1, 2, 0)], 2, Fraction(-1)))
+@example((4, [(1, 2), (1, 2), (3,)], 3, Fraction(-5, 2)))
+def test_hypergraph_potts_matches_naive(case):
+    n, hyperedges, q, gamma = case
+    hg = Hypergraph(n, hyperedges)
+    got = potts_hypergraph(hg, q, gamma)
+    assert type(got) is Fraction
+    assert got == naive_hyperpotts(hg, q, gamma)
+
+
+@settings(max_examples=120, deadline=None)
+@given(hypergraph_cases(uniform=2))
+@example((0, [], 2, Fraction(-3)))
+@example((3, [(0, 1)], 4, Fraction(-1)))
+def test_graph_potts_matches_naive(case):
+    n, pairs, q, gamma = case
+    G = Graph(n, set(tuple(sorted(e)) for e in pairs))
+    assert potts_graph(G, q, gamma) == naive_potts(G, q, gamma)
 
 
 def test_enumeration_cap(monkeypatch):
