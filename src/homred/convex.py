@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .csp import WeightedCspInstance, count_wcsp
 from .errors import HomredError
-from .graphs import Graph, components, contains_induced
+from .graphs import Graph, components, find_induced_j3
 from .homcount import WeightTable
 
 
@@ -133,7 +133,7 @@ def convex_order(H: Graph, first_leaf: int | None = None) -> ConvexOrder:
     """
     if not H.is_tree():
         raise HomredError("convex orderings are built for trees")
-    if contains_induced(H, "J3"):
+    if find_induced_j3(H) is not None:
         raise HomredError("tree contains an induced 3-branch junction; no convex ordering exists")
     left, right = H.bipartition
     if H.n == 1:

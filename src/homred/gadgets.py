@@ -38,7 +38,15 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import HomredError
-from .graphs import Graph, Hypergraph, junction_tree, j3star_tree, two_stretch
+from .graphs import (
+    J3_ROLES,  # noqa: F401  (re-exported with find_induced_j3, its old home)
+    Graph,
+    Hypergraph,
+    find_induced_j3,
+    j3star_tree,
+    junction_tree,
+    two_stretch,
+)
 from .homcount import (
     EdgeWeightedInstance,
     WeightTable,
@@ -147,31 +155,6 @@ def multiterminal_cuts_oracle(G: Graph, terminals) -> tuple[int, int]:
         if count:
             return size, count
     raise HomredError("terminals cannot be separated")  # unreachable for distinct terminals
-
-
-J3_ROLES = ("w", "x0", "x1", "y0", "y1", "z0", "z1")
-
-
-def find_induced_j3(H: Graph) -> dict[str, int] | None:
-    """Role map of the lexicographically first induced 3-branch junction.
-
-    For trees only: picks the smallest centre w with three neighbours of
-    degree at least two, the smallest such neighbour triple as
-    (x0, y0, z0), and the smallest second-level vertices x1, y1, z1.
-    Returns ``None`` when the tree has no junction.
-    """
-    if not H.is_tree():
-        raise HomredError("junction search expects a tree")
-    for w in range(H.n):
-        deep = [t for t in H.neighbours(w) if H.degree(t) >= 2]
-        if len(deep) < 3:
-            continue
-        x0, y0, z0 = deep[0], deep[1], deep[2]
-        roles = {"w": w, "x0": x0, "y0": y0, "z0": z0}
-        for key, branch in (("x1", x0), ("y1", y0), ("z1", z0)):
-            roles[key] = min(t for t in H.neighbours(branch) if t != w)
-        return roles
-    return None
 
 
 def _ser(x):
@@ -781,9 +764,60 @@ def materialise_cut_to_j3star(cut: CutInstance, s: int, r: int) -> Graph:
 # rebuilding, evaluation, verification
 
 
+# The largest value, in bits, that a certificate's rebuild may compute.  A
+# default cut-to-j3star certificate of the largest instance the cut
+# oracle admits (24 edges, 25 vertices) estimates at about 676,000 bits.
+MAX_VALUE_BITS = 1 << 21
+
+
+def _value_bits(kind: str, inp: dict) -> int:
+    """Upper bound on the bit length of the value a certificate's rebuild
+    counts, and so of its scale, from the sizes in its inputs alone.
+
+    Each coloured vertex adds log2 of the colours it may take; each
+    folded edge power or branch power adds its exponent times log2 of
+    the largest entry it can fold in.
+    """
+
+    def lg(x) -> float:
+        return math.log2(max(x, 2))
+
+    s, r, q = (max(inp.get(key, 0), 0) for key in ("s", "r", "q"))
+    if kind == "uniformize":
+        hyperedges = inp["hypergraph"]["hyperedges"]
+        n, m = inp["hypergraph"]["n"], len(hyperedges)
+        t = max((len(set(f)) for f in hyperedges), default=1)
+        base = 1 + Fraction(inp["gamma"])  # m (s + 1) hyperedges weigh this
+        per_edge = base.numerator.bit_length() + base.denominator.bit_length()
+        bits = (n + m * (t - 1)) * lg(q) + m * (s + 1) * per_edge
+    else:
+        n, m = inp["graph"]["n"], len(inp["graph"]["edges"])
+        if kind == "cut-to-whom":  # three branch roots; midpoint tables hold at most 4
+            bits = n * lg(3) + 2 * s * m
+        elif kind == "potts-to-jq":  # 2q + 1 colours; the A^2 and leaf folds hold at most q
+            bits = (n + 1) * lg(2 * q + 1) + (m + s) * lg(q)
+        elif kind == "jq-to-hyperpotts":
+            bits = n * lg(2 * q + 1)
+        else:  # cut-to-j3star: 58 colours, A^2 entries at most 6, and each of the
+            # three branch gadgets folds at most the tree's largest walk count
+            # of its length (6, 18 and 46, whose product is the constant)
+            bits = (n + 7) * lg(58) + s * m * lg(6) + r * lg(J3STAR_BRANCH_PRODUCT)
+    return math.ceil(bits) + 1
+
+
 def _rebuild(cert: ReductionCertificate):
-    """Re-run the recorded construction; returns (built, fresh_certificate)."""
+    """Re-run the recorded construction; returns (built, fresh_certificate).
+
+    Refuses, before any construction, a certificate whose value would
+    exceed :data:`MAX_VALUE_BITS`."""
     kind, inp = cert.kind, cert.inputs
+    if kind not in _INPUTS:
+        raise HomredError(f"unknown certificate kind {kind!r}")
+    bits = _value_bits(kind, inp)
+    if bits > MAX_VALUE_BITS:
+        raise HomredError(
+            f"certificate value estimated at {bits} bits, above the limit of {MAX_VALUE_BITS}"
+        )
     if kind == "cut-to-whom":
         cut = CutInstance(_graph_from_obj(inp["graph"]), tuple(inp["terminals"]))
         return build_cut_to_whom(cut, _graph_from_obj(inp["target"]), s_override=inp["s"])
@@ -798,10 +832,8 @@ def _rebuild(cert: ReductionCertificate):
             Fraction(inp["gamma"]),
             s_override=inp["s"],
         )
-    if kind == "cut-to-j3star":
-        cut = CutInstance(_graph_from_obj(inp["graph"]), tuple(inp["terminals"]))
-        return build_cut_to_j3star(cut, s_override=inp["s"], r_override=inp["r"])
-    raise HomredError(f"unknown certificate kind {kind!r}")
+    cut = CutInstance(_graph_from_obj(inp["graph"]), tuple(inp["terminals"]))  # cut-to-j3star
+    return build_cut_to_j3star(cut, s_override=inp["s"], r_override=inp["r"])
 
 
 def _value_of(cert: ReductionCertificate, built) -> Fraction:

@@ -235,73 +235,30 @@ def two_stretch(G: Graph):
     return Graph(G.n + len(G.edges), edges), mid
 
 
-def _backtrack_induced(H: Graph, P: Graph) -> bool:
-    """Does some vertex subset of H induce a subgraph isomorphic to P?"""
-    if P.n > H.n:
-        return False
-    # Order pattern vertices so each one (after the first) touches an
-    # already-placed vertex; anchor on the highest-degree vertex.
-    order = [max(range(P.n), key=P.degree)]
-    placed = {order[0]}
-    while len(order) < P.n:
-        nxt = None
-        for v in range(P.n):
-            if v in placed:
-                continue
-            if any(u in placed for u in P.neighbours(v)):
-                nxt = v
-                break
-        if nxt is None:  # disconnected pattern: take any remaining vertex
-            nxt = next(v for v in range(P.n) if v not in placed)
-        order.append(nxt)
-        placed.add(nxt)
-
-    p_adj = [set(P.neighbours(v)) for v in range(P.n)]
-    h_adj = [set(H.neighbours(v)) for v in range(H.n)]
-    assignment: dict[int, int] = {}
-    used = set()
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        pv = order[k]
-        for hv in range(H.n):
-            if hv in used:
-                continue
-            ok = True
-            for pu, hu in assignment.items():
-                if (pu in p_adj[pv]) != (hu in h_adj[hv]):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assignment[pv] = hv
-            used.add(hv)
-            if extend(k + 1):
-                return True
-            del assignment[pv]
-            used.remove(hv)
-        return False
-
-    return extend(0)
+J3_ROLES = ("w", "x0", "x1", "y0", "y1", "z0", "z1")
 
 
-def pattern_graph(name: str) -> Graph:
-    """The two induced patterns the classification needs: P4 and J3."""
-    if name == "P4":
-        return path_graph(4)
-    if name == "J3":
-        return junction_tree(3).graph
-    raise HomredError(f"unknown pattern {name!r}")
+def find_induced_j3(H: Graph) -> dict[str, int] | None:
+    """Role map of the lexicographically first induced 3-branch junction.
 
-
-def contains_induced(H: Graph, pattern) -> bool:
-    """True iff H has an induced subgraph isomorphic to ``pattern``.
-
-    ``pattern`` is a Graph or one of the names ``"P4"`` / ``"J3"``.
+    For trees only: picks the smallest centre w with three neighbours of
+    degree at least two, the smallest such neighbour triple as
+    (x0, y0, z0), and the smallest second-level vertices x1, y1, z1.
+    Returns ``None`` when the tree has no junction.  In a tree any such
+    choice induces J3, so one pass over the degrees decides it.
     """
-    P = pattern_graph(pattern) if isinstance(pattern, str) else pattern
-    return _backtrack_induced(H, P)
+    if not H.is_tree():
+        raise HomredError("junction search expects a tree")
+    for w in range(H.n):
+        deep = [t for t in H.neighbours(w) if H.degree(t) >= 2]
+        if len(deep) < 3:
+            continue
+        x0, y0, z0 = deep[0], deep[1], deep[2]
+        roles = {"w": w, "x0": x0, "y0": y0, "z0": z0}
+        for key, branch in (("x1", x0), ("y1", y0), ("z1", z0)):
+            roles[key] = min(t for t in H.neighbours(branch) if t != w)
+        return roles
+    return None
 
 
 def classify_tree(H: Graph) -> str:
@@ -310,7 +267,7 @@ def classify_tree(H: Graph) -> str:
         raise HomredError("classify_tree expects a tree")
     if H.is_star():
         return STAR
-    if contains_induced(H, "J3"):
+    if find_induced_j3(H) is not None:
         return CONTAINS_J3
     return BIS_EQUIVALENT
 

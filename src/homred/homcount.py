@@ -25,17 +25,26 @@ resolved), isolated-vertex factoring, and bucket elimination (Dechter,
 *Artificial Intelligence* 113, 1999) over the remaining core with a
 greedy minimum-degree order.
 
+Every distinct edge table is converted once into its nonzero entries
+per row, and both absorption and the core read that one form.
+Absorption is linear in the source tree and sparse in the table: a heap
+hands out the pendants in a fixed order (multiplicity-bearing pendants
+first, then smallest id), and a fold visits only the pendant's nonzero
+colours and the nonzero entries of their rows (of their columns, through
+a transpose built on first use, when the pendant is the higher end of
+its edge).  Counting into a tree therefore costs O(n (h + log n)) plus
+the nonzero table entries touched, with no elimination at all.
+
 The core is sparse and integer-only.  A factor is its sorted variables
 plus a dict from the radix-``h`` int index of an assignment (last
-variable fastest) to its value, holding only nonzero entries; every
-distinct edge table is converted once.  Before elimination each factor
-is scaled by the lcm of its denominators, so the joins multiply and add
-plain ints, and the product of those scales is divided out once at the
-end.  Eliminating a variable hash-joins the factors that hold it,
-smallest first: each join indexes the smaller table on the shared
-variables and streams the larger one through that index, and the last
-join sums the variable out as it goes, so no factor that still holds
-the variable outlives the step.  An empty factor means the whole sum
+variable fastest) to its value, holding only nonzero entries.  Before
+elimination each factor is scaled by the lcm of its denominators, so
+the joins multiply and add plain ints, and the product of those scales
+is divided out once at the end.  Eliminating a variable hash-joins the
+factors that hold it, smallest first: each join indexes the smaller
+table on the shared variables and streams the larger one through that
+index, and the last join sums the variable out as it goes, so no factor
+that still holds the variable outlives the step.  An empty factor means the whole sum
 is zero; with signed entries a join may also produce explicit zero
 entries, which are kept and do no harm.
 """
@@ -44,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import lcm
 from typing import NamedTuple
 
@@ -232,10 +242,42 @@ def _eliminate(v: int, factors: list[_Factor], h: int) -> list[_Factor]:
     return rest
 
 
-def _scaled(values) -> tuple[dict[int, int], int]:
-    """Nonzero entries of a flat value list as ints, and the common
-    denominator they were multiplied by."""
-    nz = {i: x for i, x in enumerate(values) if x}
+class _SparseTable:
+    """An ``h x h`` table as its nonzero entries per row, converted once per
+    distinct table and shared by pendant absorption and the core.  It keeps
+    the table itself, so the ``id`` it is cached under cannot be reused."""
+
+    __slots__ = ("table", "rows", "_cols", "_scaled")
+
+    def __init__(self, T):
+        self.table = T
+        self.rows = [[(j, x) for j, x in enumerate(row) if x] for row in T]
+        self._cols = None
+        self._scaled = None
+
+    def cols(self) -> list[list[tuple]]:
+        """Nonzero entries per column; the transpose is built on first use."""
+        if self._cols is None:
+            self._cols = [[] for _ in self.rows]
+            for i, row in enumerate(self.rows):
+                for j, x in row:
+                    self._cols[j].append((i, x))
+        return self._cols
+
+    def scaled(self) -> tuple[dict[int, int], int]:
+        """The core's form, built on first use: :func:`_scaled` of the
+        nonzero entries keyed by flat index ``row * h + column``."""
+        if self._scaled is None:
+            h = len(self.rows)
+            self._scaled = _scaled(
+                {i * h + j: x for i, row in enumerate(self.rows) for j, x in row}
+            )
+        return self._scaled
+
+
+def _scaled(nz: dict) -> tuple[dict[int, int], int]:
+    """Nonzero entries as ints, and the common denominator they were
+    multiplied by."""
     d = lcm(*(x.denominator for x in nz.values()))
     return {i: x.numerator * (d // x.denominator) for i, x in nz.items()}, d
 
@@ -291,33 +333,47 @@ def sum_product(G: Graph, h: int, weights, tables, vertex_mult=None) -> Fraction
 
     active = set(range(G.n))
     nbrs = {v: set(G.neighbours(v)) for v in range(G.n)}
+    sparse: dict[int, _SparseTable] = {}
 
-    # Phase 1: absorb pendant vertices.  Multiplicity-bearing pendants
-    # fold first (their power must cover only their own branch, so they
-    # may never swallow a neighbour); ties break on smallest id.
-    while True:
-        u = min(
-            (v for v in active if len(nbrs[v]) == 1),
-            key=lambda v: (vmult(v) == 1, v),
-            default=None,
-        )
-        if u is None:
-            break
+    def sparse_of(T) -> _SparseTable:
+        got = sparse.get(id(T))
+        if got is None:
+            got = sparse[id(T)] = _SparseTable(T)
+        return got
+
+    # Phase 1: absorb pendant vertices in the order of the key
+    # (vmult(v) == 1, v).  Multiplicity-bearing pendants fold first (their
+    # power must cover only their own branch, so they may never swallow a
+    # neighbour); ties break on smallest id.  The heap holds each vertex
+    # from the moment its degree drops to one; an entry whose vertex was
+    # absorbed or has lost its last neighbour is stale and skipped.  A fold
+    # visits the pendant's nonzero colours and, for each, the nonzero
+    # entries of its row of the edge table (its column when the pendant is
+    # the edge's higher id).
+    heap = [(vmult(v) == 1, v) for v in range(G.n) if len(nbrs[v]) == 1]
+    heapify(heap)
+    while heap:
+        _, u = heappop(heap)
+        if u not in active or len(nbrs[u]) != 1:
+            continue
         nb = next(iter(nbrs[u]))
         e = (u, nb) if u < nb else (nb, u)
-        T = tables.pop(e)
-        wu = weights[u]
-        if u < nb:  # rows of T are indexed by u's colour
-            folded = [sum(T[c][cn] * wu[c] for c in range(h) if wu[c]) for cn in range(h)]
-        else:
-            folded = [sum(T[cn][c] * wu[c] for c in range(h) if wu[c]) for cn in range(h)]
+        table = sparse_of(tables.pop(e))
+        by_colour = table.rows if u < nb else table.cols()
+        folded = [0] * h
+        for c, w in enumerate(weights[u]):
+            if w:
+                for cn, x in by_colour[c]:
+                    folded[cn] += x * w
         m = vmult(u)
+        if m > 1:
+            folded = [f**m for f in folded]
         wnb = weights[nb]
-        for c in range(h):
-            f = folded[c] ** m if m > 1 else folded[c]
-            wnb[c] = wnb[c] * f
+        wnb[:] = [a * f for a, f in zip(wnb, folded)]
         active.remove(u)
         nbrs[nb].remove(u)
+        if len(nbrs[nb]) == 1:
+            heappush(heap, (vmult(nb) == 1, nb))
 
     # Phase 2: isolated vertices contribute scalar factors.
     scalar = 1
@@ -338,18 +394,15 @@ def sum_product(G: Graph, h: int, weights, tables, vertex_mult=None) -> Fraction
     # Phase 3: bucket elimination over the remaining core, on ints: each
     # factor is scaled by the lcm of its denominators, and the product of
     # those scales is divided out once at the end.
-    sparse: dict[int, tuple[dict[int, int], int]] = {}
     factors = []
     scale = 1
     for e, T in tables.items():
         if e[0] in active:
-            if id(T) not in sparse:
-                sparse[id(T)] = _scaled([x for row in T for x in row])
-            table, d = sparse[id(T)]
+            table, d = sparse_of(T).scaled()
             factors.append(_Factor(e, table))
             scale *= d
     for v in sorted(active):
-        table, d = _scaled(weights[v])
+        table, d = _scaled({c: x for c, x in enumerate(weights[v]) if x})
         factors.append(_Factor((v,), table))
         scale *= d
 

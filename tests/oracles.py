@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import random
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 import networkx as nx
 
@@ -96,22 +96,6 @@ def naive_independent_sets(G: Graph) -> int:
         if all(not (sub[u] and sub[v]) for u, v in G.edges):
             count += 1
     return count
-
-
-def naive_contains_induced(G: Graph, P: Graph) -> bool:
-    verts = range(G.n)
-    for combo in permutations(verts, P.n):
-        ok = True
-        for u in range(P.n):
-            for v in range(u + 1, P.n):
-                if P.has_edge(u, v) != G.has_edge(combo[u], combo[v]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
 
 
 def naive_contains_induced_tree(T: Graph, P: Graph) -> bool:

@@ -58,6 +58,17 @@ def test_classify(tmp_path, capsys):
     assert code == 0 and out == "Star\n"
 
 
+def test_classify_large_caterpillar(tmp_path, capsys):
+    # 1,000 spine vertices with one leaf each: no vertex has three
+    # non-leaf neighbours, so the tree is junction-free but not a star
+    k = 1000
+    edges = [(i, i + 1) for i in range(k - 1)] + [(i, k + i) for i in range(k)]
+    text = f"graph {2 * k} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+    g = put(tmp_path, "caterpillar.graph", text)
+    code, out, _ = run(capsys, "classify", "--tree", g)
+    assert code == 0 and out == "BisEquivalent\n"
+
+
 def test_whom_with_weights(tmp_path, capsys):
     g = put(tmp_path, "p3.graph", P3)
     w = put(tmp_path, "p3.weights", "weights 3 4\nw 1 0 1 1 0\n")
@@ -284,6 +295,31 @@ def _hostile_certificate(tmp_path, capsys, edit):
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: malformed certificate: ")
     return err
+
+
+def _oversized_j3star_certificate(tmp_path, capsys, key):
+    """A default cut-to-j3star certificate of P3 with inputs[key] = 10^7."""
+    g = put(tmp_path, "p3.graph", P3)
+    prefix = str(tmp_path / "p3j3")
+    code, out, _ = run(capsys, "reduce", "cut-to-j3star", "--terminals", "0,1,2",
+                       "--out", prefix, g)
+    assert code == 0 and "s: 11" in out and "r: 945" in out
+    cert_path = pathlib.Path(prefix + ".cert.json")
+    payload = json.loads(cert_path.read_text())
+    payload["inputs"][key] = 10**7
+    cert_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "certificate", str(cert_path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: certificate value estimated at ")
+    return int(err.split()[5])
+
+
+def test_verify_certificate_refuses_huge_r(tmp_path, capsys):
+    assert _oversized_j3star_certificate(tmp_path, capsys, "r") > 10**8
+
+
+def test_verify_certificate_refuses_huge_s(tmp_path, capsys):
+    assert _oversized_j3star_certificate(tmp_path, capsys, "s") > 10**7
 
 
 def test_verify_certificate_missing_input(tmp_path, capsys):

@@ -15,13 +15,12 @@ from homred.graphs import (
     complete_bipartite_parts,
     complete_graph,
     components,
-    contains_induced,
     custom_tree,
     cycle_graph,
+    find_induced_j3,
     j3star_tree,
     junction_tree,
     path_graph,
-    pattern_graph,
     star_graph,
     two_stretch,
     star_tree,
@@ -29,7 +28,6 @@ from homred.graphs import (
 )
 from oracles import (
     ahu_canonical,
-    naive_contains_induced,
     naive_contains_induced_tree,
     nonisomorphic_trees,
     random_tree,
@@ -122,34 +120,29 @@ def test_two_stretch():
 
 
 def test_contains_induced_known_cases():
-    P4 = pattern_graph("P4")
-    J3 = pattern_graph("J3")
+    J3 = junction_tree(3).graph
     assert J3.n == 7 and len(J3.edges) == 6
-    assert contains_induced(path_graph(5), P4)
-    assert not contains_induced(star_graph(5), P4)
-    assert not contains_induced(star_graph(3), J3)
-    assert contains_induced(j3star_tree().graph, J3)
-    # C4 contains no induced P4 (the would-be endpoints are adjacent)
-    assert not contains_induced(cycle_graph(4), P4)
-    assert contains_induced(cycle_graph(5), P4)
+    roles = find_induced_j3(J3)
+    assert roles == {"w": 0, "x0": 1, "x1": 2, "y0": 3, "y1": 4, "z0": 5, "z1": 6}
+    assert find_induced_j3(j3star_tree().graph) is not None
+    assert find_induced_j3(junction_tree(4).graph) is not None
+    assert find_induced_j3(star_graph(3)) is None
+    assert find_induced_j3(path_graph(5)) is None
+    with pytest.raises(HomredError):
+        find_induced_j3(cycle_graph(4))
 
 
 def test_contains_induced_matches_bruteforce():
-    rng = random.Random(7)
-    P4 = pattern_graph("P4")
-    J3 = pattern_graph("J3")
-    for _ in range(40):
-        n = rng.randint(1, 8)
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < 0.35
-        ]
-        g = Graph(n, edges)
-        assert contains_induced(g, P4) == naive_contains_induced(g, P4)
-    for T in nonisomorphic_trees(8):
-        assert contains_induced(T, J3) == naive_contains_induced(T, J3)
+    J3 = junction_tree(3).graph
+    spider = Graph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])  # legs 1, 1, 2
+    trees = [T for n in range(1, 10) for T in nonisomorphic_trees(n)]
+    trees += [j3star_tree().graph, junction_tree(4).graph, spider]
+    for T in trees:
+        roles = find_induced_j3(T)
+        assert (roles is not None) == naive_contains_induced_tree(T, J3)
+        if roles is not None:  # the roles themselves induce J3
+            sub, _ = T.subgraph(roles.values())
+            assert sub.is_tree() and ahu_canonical(sub) == ahu_canonical(J3)
 
 
 def test_classify_small_paths_and_stars():
@@ -173,8 +166,8 @@ def test_classify_small_paths_and_stars():
 
 def test_classify_trichotomy_exhaustive():
     """Independent re-derivation on every tree with up to 9 vertices."""
-    P4 = pattern_graph("P4")
-    J3 = pattern_graph("J3")
+    P4 = path_graph(4)
+    J3 = junction_tree(3).graph
     for n in range(2, 10):
         for T in nonisomorphic_trees(n):
             kind = classify_tree(T)

@@ -250,6 +250,156 @@ def test_count_ewhom_matches_naive_on_rational_cores(case):
     assert got == naive_ewhom(G, H, vertex_weights=weights, edge_tables=tables, edge_mult=mult)
 
 
+@st.composite
+def pendant_forest_cases(draw):
+    """A forest with shuffled ids, asymmetric tables shared between edges,
+    and up to two pendant branches (a leaf, or a vertex with one leaf
+    child) carrying vertex multiplicity 2 or 3.
+
+    Returns the folded instance and the materialised forest (each branch
+    copied ``m`` times) with the data ``naive_ewhom`` reads for it.  The
+    branch leaves take the smallest ids, so every branch is folded whole
+    into its root before anything else can reach that root."""
+    b = draw(st.integers(1, 6))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, b) if draw(st.booleans())]
+    branches, leaves, n_mat = {}, [], b  # branch root -> multiplicity
+    for _ in range(draw(st.integers(0, 2))):
+        size, m = draw(st.integers(1, 2)), draw(st.integers(2, 3))
+        if n_mat + size * m > 8:
+            continue
+        root = b + len(branches) + len(leaves)
+        edges.append((draw(st.integers(0, b - 1)), root))
+        branches[root] = m
+        if size == 2:
+            leaves.append(root + 1)
+            edges.append((root, root + 1))
+        n_mat += size * m
+    n = b + len(branches) + len(leaves)
+    h = draw(st.sampled_from([h for h in range(5, 1, -1) if h**n_mat <= MAX_ASSIGNMENTS]))
+    others = [v for v in range(n) if v not in leaves]
+    fid = dict(zip(leaves + others, draw(st.permutations(range(len(leaves))))
+                   + [len(leaves) + i for i in draw(st.permutations(range(len(others))))]))
+    H = Graph(h, [(a, c) for a in range(h) for c in range(a + 1, h) if draw(st.booleans())])
+
+    def table():
+        T = [[draw(ENTRIES) for _ in range(h)] for _ in range(h)]
+        for i in draw(st.lists(st.integers(0, h - 1), max_size=1)):
+            T[i] = [0] * h
+        for j in draw(st.lists(st.integers(0, h - 1), max_size=1)):
+            for row in T:
+                row[j] = 0
+        return T
+
+    def row():
+        if draw(st.integers(0, 5)) == 0:
+            return (0,) * h
+        return tuple(draw(ENTRIES) for _ in range(h))
+
+    pool = [table() for _ in range(draw(st.integers(1, 2)))]
+    tables = {e: draw(st.sampled_from(pool)) for e in edges if draw(st.booleans())}
+    emult = {e: draw(st.integers(2, 3)) for e in edges if draw(st.booleans())}
+    weights = {v: row() for v in range(n) if draw(st.booleans())}
+
+    def folded_edge(e):
+        return tuple(sorted((fid[e[0]], fid[e[1]])))
+
+    folded = EdgeWeightedInstance(
+        Graph(n, [folded_edge(e) for e in edges]),
+        H,
+        vertex_weights={fid[v]: r for v, r in weights.items()},
+        edge_tables={folded_edge(e): T for e, T in tables.items()},
+        edge_mult={folded_edge(e): m for e, m in emult.items()},
+        vertex_mult={fid[v]: m for v, m in branches.items()},
+    )
+
+    # copy j of a branch vertex gets a fresh id; base vertices keep theirs.
+    # A table's rows follow the smaller folded id of its edge, so it is
+    # transposed where the materialised ids run the other way.
+    def copies(v):
+        return branches.get(v - 1 if v in leaves else v, 1)
+
+    mid = {}
+    for v in range(n):
+        for j in range(copies(v)):
+            mid[v, j] = len(mid)
+    mat_edges, mat_tables, mat_mult, mat_weights = [], {}, {}, {}
+    for (v, j), x in mid.items():
+        if v in weights:
+            mat_weights[x] = weights[v]
+    for e in edges:
+        u, v = e  # v is the branch side whenever the edge is in a branch
+        for j in range(copies(v)):
+            f = (mid[u, j if j < copies(u) else 0], mid[v, j])
+            flip = (fid[u] < fid[v]) != (f[0] < f[1])
+            f = tuple(sorted(f))
+            mat_edges.append(f)
+            if e in tables:
+                T = tables[e]
+                mat_tables[f] = [list(col) for col in zip(*T)] if flip else T
+            if e in emult:
+                mat_mult[f] = emult[e]
+    materialised = (Graph(len(mid), mat_edges), H, mat_weights, mat_tables, mat_mult)
+    return folded, materialised
+
+
+@settings(max_examples=80, deadline=None)
+@given(pendant_forest_cases())
+def test_count_ewhom_matches_naive_on_pendant_forests(case):
+    folded, (G, H, weights, tables, mult) = case
+    got = count_ewhom(folded)
+    assert type(got) is Fraction
+    assert got == naive_ewhom(G, H, vertex_weights=weights, edge_tables=tables, edge_mult=mult)
+
+
+def _tree_messages(n, edges, h, colour_nbrs, weight):
+    """Sum over colourings of prod over edges (u, v), u < v, of
+    weight(colour(u), colour(v)), where weight vanishes off the target's
+    edges: messages pass from the leaves to vertex 0, on plain ints."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = {0: None}
+    order = [0]
+    for x in order:
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    msg = [[1] * h for _ in range(n)]
+    for x in reversed(order[1:]):
+        p = parent[x]
+        for c in range(h):  # colour of p
+            total = 0
+            for d in colour_nbrs[c]:
+                total += (weight(c, d) if p < x else weight(d, c)) * msg[x][d]
+            msg[p][c] *= total
+    return sum(msg[0])
+
+
+def test_large_trees_into_j3star_match_messages():
+    H = j3star_tree().graph
+    h = H.n
+    colour_nbrs = [[] for _ in range(h)]
+    for a, c in H.edges:
+        colour_nbrs[a].append(c)
+        colour_nbrs[c].append(a)
+
+    def weight(a, c):  # asymmetric, so a fold in the wrong orientation shows
+        return 1 + a % 3 + 2 * (c % 2)
+
+    T = [[weight(a, c) if c in colour_nbrs[a] else 0 for c in range(h)] for a in range(h)]
+    n = 1500
+    # ids descend along the path and its far end is the largest, so every
+    # fold but the last takes the table's transpose
+    ids = list(range(n - 2, -1, -1)) + [n - 1]
+    for G in (random_tree(random.Random(1500), n), Graph(n, list(zip(ids, ids[1:])))):
+        plain = _tree_messages(n, G.edges, h, colour_nbrs, lambda a, c: 1)
+        assert count_hom(G, H) == plain
+        weighted = EdgeWeightedInstance(G, H, edge_tables=dict.fromkeys(G.edges, T))
+        assert count_ewhom(weighted) == _tree_messages(n, G.edges, h, colour_nbrs, weight)
+
+
 def test_cycle_200_into_j3star_is_adjacency_trace():
     H = j3star_tree().graph
     h = H.n
