@@ -55,9 +55,11 @@ from .gadgets import (
     build_cut_to_whom,
     build_jq_to_hyperpotts,
     build_potts_to_jq,
+    int_str_digits,
     materialise_cut_to_j3star,
     materialise_cut_to_whom,
     materialise_potts_to_jq,
+    materialised_value,
     multiterminal_cuts,
     uniformize,
     verify_certificate,
@@ -111,9 +113,10 @@ def _write(path: str, text: str) -> str:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return str(x.numerator)
-    return str(x)
+    with int_str_digits(0):
+        if isinstance(x, Fraction) and x.denominator == 1:
+            return str(x.numerator)
+        return str(x)
 
 
 def _rational(tok: str) -> Fraction:
@@ -167,8 +170,8 @@ def cmd_classify(args):
 def cmd_hom(args):
     H = load_target(args.target)
     g = _load(parse_graph, args.graph)
-    z = count_hom(g, H)
-    return {"_stdout": str(z), "count": str(z)}, 0
+    z = _fmt(count_hom(g, H))
+    return {"_stdout": z, "count": z}, 0
 
 
 def cmd_whom(args):
@@ -193,16 +196,16 @@ def cmd_hyperpotts(args):
 
 def cmd_qcol(args):
     g = _load(parse_graph, args.graph)
-    z = count_proper_colourings(g, args.q)
-    return {"_stdout": str(z), "count": str(z), "q": args.q}, 0
+    z = _fmt(count_proper_colourings(g, args.q))
+    return {"_stdout": z, "count": z, "q": args.q}, 0
 
 
 def cmd_csp_count(args):
     inst = _load(parse_csp, args.file)
     if isinstance(inst, WeightedCspInstance):
         raise HomredError(f"{args.file} carries wt lines; use wcsp-count")
-    z = count_csp(inst)
-    return {"_stdout": str(z), "count": str(z)}, 0
+    z = _fmt(count_csp(inst))
+    return {"_stdout": z, "count": z}, 0
 
 
 def cmd_wcsp_count(args):
@@ -215,8 +218,7 @@ def cmd_wcsp_count(args):
 
 def cmd_cuts(args):
     g = _load(parse_graph, args.graph)
-    cut = CutInstance(g, args.terminals)  # validates range/distinctness/connectivity
-    b, n = multiterminal_cuts(g, cut.terminals)
+    b, n = multiterminal_cuts(g, args.terminals)
     return {"_stdout": f"{b} {n}", "min_size": b, "count": n}, 0
 
 
@@ -380,8 +382,9 @@ def cmd_reduce_whom_to_csp(args):
     swap = reduce_whom_side(g, left, right, order.swapped(), wt)
     value = count_wcsp(own.instance) + count_wcsp(swap.instance)
 
-    own_file = _write(args.out + ".own.csp", format_csp(own.instance))
-    swap_file = _write(args.out + ".swap.csp", format_csp(swap.instance))
+    with int_str_digits(0):  # a level ratio can be twice as long as the weights
+        own_file = _write(args.out + ".own.csp", format_csp(own.instance))
+        swap_file = _write(args.out + ".swap.csp", format_csp(swap.instance))
     sidecar = {
         "order": _order_obj(order),
         "left": list(left),
@@ -406,34 +409,13 @@ def cmd_reduce_whom_to_csp(args):
 # verification
 
 
-def _materialised_value(cert: ReductionCertificate) -> Fraction:
-    """Recount the certificate's instance with every repetition explicit."""
-    inp = cert.inputs
-    if cert.kind == "cut-to-whom":
-        cut = CutInstance(Graph(inp["graph"]["n"], [tuple(e) for e in inp["graph"]["edges"]]),
-                          tuple(inp["terminals"]))
-        H = Graph(inp["target"]["n"], [tuple(e) for e in inp["target"]["edges"]])
-        mgraph, mwt = materialise_cut_to_whom(cut, H, inp["s"])
-        return count_whom(mgraph, H, mwt)
-    if cert.kind == "potts-to-jq":
-        g = Graph(inp["graph"]["n"], [tuple(e) for e in inp["graph"]["edges"]])
-        mgraph = materialise_potts_to_jq(g, inp["s"])
-        return Fraction(count_hom(mgraph, junction_tree(inp["q"]).graph))
-    if cert.kind == "cut-to-j3star":
-        cut = CutInstance(Graph(inp["graph"]["n"], [tuple(e) for e in inp["graph"]["edges"]]),
-                          tuple(inp["terminals"]))
-        mgraph = materialise_cut_to_j3star(cut, inp["s"], inp["r"])
-        return Fraction(count_hom(mgraph, j3star_tree().graph))
-    raise HomredError(f"certificate kind {cert.kind!r} has no materialised form")
-
-
 def cmd_verify_certificate(args):
     cert = ReductionCertificate.from_json(_read(args.certificate))
     report = verify_certificate(cert)
     passed = report.pop("passed")
     out = {k: (_fmt(v) if isinstance(v, Fraction) else v) for k, v in report.items()}
     if args.materialise:
-        out["materialised_ok"] = _materialised_value(cert) == report["value"]
+        out["materialised_ok"] = materialised_value(cert) == report["value"]
         passed = passed and out["materialised_ok"]
     out["passed"] = passed
     return out, 0 if passed else 1
@@ -608,8 +590,8 @@ def _text(v) -> str:
     if isinstance(v, bool):
         return "yes" if v else "no"
     if isinstance(v, (list, tuple)):
-        return " ".join(str(x) for x in v)
-    return str(v)
+        return " ".join(_fmt(x) for x in v)
+    return _fmt(v)
 
 
 def main(argv=None) -> int:
@@ -633,7 +615,8 @@ def main(argv=None) -> int:
             payload["inputs"] = dict(sorted(_digests.items()))
         if args.timing:
             payload["duration_seconds"] = round(duration, 6)
-        print(json.dumps(payload, indent=2))
+        with int_str_digits(0):
+            print(json.dumps(payload, indent=2))
     else:
         if "_stdout" in report:
             text = report["_stdout"]

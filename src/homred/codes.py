@@ -23,7 +23,7 @@ from itertools import product
 
 from .errors import HomredError
 from .graphs import Graph
-from .potts import enumeration_cap, potts_graph
+from .potts import check_enumeration, potts_graph
 
 
 def is_prime(p: int) -> bool:
@@ -96,8 +96,7 @@ def weight_enumerator(code: LinearCode, lam) -> Fraction:
     basis = row_reduce(code.rows, code.p)
     rank = len(basis)
     p = code.p
-    if p**rank > enumeration_cap():
-        raise HomredError(f"code has {p}^{rank} words, above the enumeration cap")
+    check_enumeration(p**rank, f"weight enumerator of a rank-{rank} code over F_{p}")
     powers = [Fraction(1)]
     for _ in range(code.ncols):
         powers.append(powers[-1] * lam)
@@ -188,8 +187,7 @@ def build_potts_code(G: Graph, p: int, k: int) -> PottsCodeSystem:
 def check_q_to_one(system: PottsCodeSystem) -> bool:
     """Every codeword is hit by exactly q spin assignments."""
     n, q = system.graph.n, system.q
-    if q**n > enumeration_cap():
-        raise HomredError("spin enumeration above the cap")
+    check_enumeration(q**n, f"spin enumeration on {n} vertices with q={q}")
     fibres: dict[tuple[int, ...], int] = {}
     for sigma in product(range(1, q + 1), repeat=n):
         b = system.b_vector(sigma)

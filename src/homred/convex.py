@@ -92,10 +92,11 @@ def _intervals(H: Graph, side: tuple[int, ...], other_pi: dict[int, int], pi: di
 def convex_order_from_bijections(H: Graph, U, Up, pi: dict[int, int], pip: dict[int, int]) -> ConvexOrder:
     """Package explicit side bijections, computing and checking the intervals."""
     U, Up = tuple(sorted(U)), tuple(sorted(Up))
-    if set(U) | set(Up) != set(range(H.n)) or set(U) & set(Up):
+    left = set(U)
+    if left | set(Up) != set(range(H.n)) or left & set(Up):
         raise HomredError("sides must partition the vertex set")
     for u, v in H.edges:
-        if (u in set(U)) == (v in set(U)):
+        if (u in left) == (v in left):
             raise HomredError(f"edge ({u},{v}) does not cross the given sides")
     if sorted(pi.keys()) != list(U) or sorted(pi.values()) != list(range(1, len(U) + 1)):
         raise HomredError("pi must biject the left side onto 1..h")
@@ -148,36 +149,41 @@ def convex_order(H: Graph, first_leaf: int | None = None) -> ConvexOrder:
     else:
         u0 = candidates[0]
 
-    def rec(active: frozenset[int], u: int):
-        """Returns (positions for u's side, positions for the other side)."""
+    # Peel inward until the active tree is a star centred at u's parent,
+    # recording each peeled layer; then number both sides outward.
+    active = set(range(H.n))
+    layers = []
+    u = u0
+    while True:
         up = next(t for t in H.neighbours(u) if t in active)
         up_nbs = [t for t in H.neighbours(up) if t in active]
         nonleaf = [
             t for t in up_nbs if sum(1 for s in H.neighbours(t) if s in active) > 1
         ]
         if not nonleaf:
-            # the active tree is a star centred at the parent
-            others = sorted(t for t in up_nbs if t != u)
-            pi_side = {t: i + 1 for i, t in enumerate(others)}
-            pi_side[u] = len(up_nbs)
-            return pi_side, {up: 1}
+            break
         if len(nonleaf) > 1:
             raise HomredError("peeling stalled; the tree is not junction-free")
-        upp = nonleaf[0]
-        removed = [t for t in up_nbs if t != upp]
-        pi_other, pi_core = rec(active - frozenset(removed), up)
-        pi_side = dict(pi_core)
-        base = len(pi_core)
+        removed = [t for t in up_nbs if t != nonleaf[0]]
+        layers.append((u, removed))
+        active.difference_update(removed)
+        u = up
+    others = sorted(t for t in up_nbs if t != u)
+    pi_side = {t: i + 1 for i, t in enumerate(others)}  # positions on u's side
+    pi_side[u] = len(up_nbs)
+    pi_other = {up: 1}
+    for u, removed in reversed(layers):
+        # the inner step peeled from u's parent, so its other side is u's side
+        pi_side, pi_other = pi_other, pi_side
+        base = len(pi_side)
         for idx, t in enumerate(sorted(t for t in removed if t != u)):
             pi_side[t] = base + 1 + idx
         pi_side[u] = base + len(removed)
-        return pi_side, pi_other
 
-    pi_u_side, pi_other = rec(frozenset(range(H.n)), u0)
     if u0 in left:
-        pi, pip = pi_u_side, pi_other
+        pi, pip = pi_side, pi_other
     else:
-        pi, pip = pi_other, pi_u_side
+        pi, pip = pi_other, pi_side
     return convex_order_from_bijections(H, sorted(left), sorted(right), pi, pip)
 
 

@@ -22,18 +22,12 @@ of the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import HomredError
-
-
-def _num(x):
-    f = Fraction(x)
-    if f < 0:
-        raise HomredError("weights must be nonnegative")
-    return int(f) if f.denominator == 1 else f
+from .homcount import _num
 
 
 def _normalise_imps(nvars: int, imps) -> tuple[tuple[int, int], ...]:

@@ -32,6 +32,7 @@ import json
 import math
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -39,7 +40,6 @@ from typing import NamedTuple
 
 from .errors import HomredError
 from .graphs import (
-    J3_ROLES,  # noqa: F401  (re-exported with find_induced_j3, its old home)
     Graph,
     Hypergraph,
     find_induced_j3,
@@ -52,22 +52,39 @@ from .homcount import (
     WeightTable,
     adjacency_matrix,
     count_ewhom,
+    count_hom,
+    count_whom,
     matrix_product,
     sum_product,
 )
 from .potts import (
-    enumeration_cap,
+    check_enumeration,
     histogram_sum,
     hypergraph_mono_histogram,
     potts_hypergraph,
     potts_mono_histogram,
 )
 
-# Scale constants routinely exceed CPython's 4300-digit int<->str cap
-# (a default J3* run carries 4968^1555, ~5700 digits), so certificates
-# could neither be written nor parsed back without lifting it.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(0)
+
+@contextmanager
+def int_str_digits(limit: int):
+    """Set CPython's int<->str digit cap to ``limit`` (0 lifts it) inside
+    the block, and restore the caller's cap on exit.
+
+    Scale constants routinely exceed the default cap of 4300 digits (a
+    default J3* run carries 4968^1555, ~5700 digits), so writing and
+    reading certificates, and printing their values, run inside this;
+    the rest of the process keeps the cap.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the cap
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 @dataclass(frozen=True)
@@ -89,14 +106,9 @@ class CutInstance:
 
 
 def _check_cut_input(G: Graph, terminals):
-    a, b, c = terminals
-    if len({a, b, c}) != 3:
-        raise HomredError("terminals must be three distinct vertices")
-    if not G.is_connected():
-        raise HomredError("cut counting expects a connected graph")
+    CutInstance(G, tuple(terminals))
     m = len(G.edges)
-    if 2**m > enumeration_cap(default=2**24):
-        raise HomredError(f"cut enumeration over {m} edges is above the cap")
+    check_enumeration(2**m, f"cut enumeration over {m} edges", default=2**24)
 
 
 def multiterminal_cuts(G: Graph, terminals) -> tuple[int, int]:
@@ -159,12 +171,9 @@ def multiterminal_cuts_oracle(G: Graph, terminals) -> tuple[int, int]:
 
 def _ser(x):
     if isinstance(x, Fraction):
-        return str(x)
+        with int_str_digits(0):
+            return str(x)
     return x
-
-
-def _deser_fraction(x) -> Fraction:
-    return Fraction(x)
 
 
 @dataclass
@@ -194,19 +203,25 @@ class ReductionCertificate:
             "counters": {k: _ser(v) for k, v in self.counters.items()},
             "slack": _ser(self.slack),
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        with int_str_digits(0):
+            return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ReductionCertificate":
         """Parse a certificate, checking its keys and the types of its inputs.
 
         Every defect ends in a :class:`HomredError`; values that are well
-        typed but out of range are refused later, by the rebuild.
+        typed but out of range are refused later, by the rebuild.  Every
+        number is parsed here, under a digit cap that admits any value of
+        up to :data:`MAX_VALUE_BITS` bits and no longer one.
         """
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise HomredError(f"certificate is not valid JSON: {exc}") from None
+        with int_str_digits(_MAX_VALUE_DIGITS):
+            try:
+                payload = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise HomredError(f"certificate is not valid JSON: {exc}") from None
+            except ValueError:  # an integer longer than the digit cap
+                raise _too_long("a number") from None
         if not isinstance(payload, dict):
             raise _malformed("the top level is not an object")
         kind = payload.get("kind")
@@ -222,13 +237,28 @@ class ReductionCertificate:
                 raise _malformed(f"inputs.{key} is missing")
             if not check(parts["inputs"][key]):
                 raise _malformed(f"inputs.{key} is not {want}")
+        if "gamma" in _INPUTS[kind]:
+            parts["inputs"]["gamma"] = _parse_rational(parts["inputs"]["gamma"], "inputs.gamma")
         if not _is_rational(payload.get("slack")):
             raise _malformed("slack is not a rational number")
-        return cls(kind=kind, slack=Fraction(payload["slack"]), **parts)
+        return cls(kind=kind, slack=_parse_rational(payload["slack"], "slack"), **parts)
 
 
 def _malformed(what: str) -> HomredError:
     return HomredError(f"malformed certificate: {what}")
+
+
+def _too_long(what: str) -> HomredError:
+    return _malformed(f"{what} has more than {_MAX_VALUE_DIGITS} digits")
+
+
+def _parse_rational(x: int | str, what: str) -> Fraction:
+    """``x``, already checked by :func:`_is_rational`, as a Fraction."""
+    with int_str_digits(_MAX_VALUE_DIGITS):
+        try:
+            return Fraction(x)
+        except ValueError:  # more digits than the cap
+            raise _too_long(what) from None
 
 
 def _is_int(x) -> bool:
@@ -305,9 +335,30 @@ _INPUTS = {
 # cut-to-whom: minimum 3-terminal cuts via weighted homomorphisms
 
 
+_MID_ROLES = ("w", "x1", "y1", "z1")  # the high-side roles an edge's midpoints may take
+
+
+def _indicator(h: int, cols) -> tuple[int, ...]:
+    return tuple(int(c in cols) for c in range(h))
+
+
+def _cut_whom_rows(cut: CutInstance, H: Graph):
+    """The junction roles of H and the cut gadget's source vertex rows:
+    every vertex confined to the three branch roots, each terminal
+    pinned to its own branch.  Returns ``(roles, rows)``."""
+    roles = find_induced_j3(H)
+    if roles is None:
+        raise HomredError("target tree has no induced 3-branch junction")
+    branch_roots = (roles["x0"], roles["y0"], roles["z0"])
+    rows = dict.fromkeys(range(cut.graph.n), _indicator(H.n, branch_roots))
+    for t, role_root in zip(cut.terminals, branch_roots):
+        rows[t] = _indicator(H.n, [role_root])
+    return roles, rows
+
+
 def _junction_midpoint_table(H: Graph, roles: dict[str, int]) -> list[list[int]]:
     """Common-neighbour counts through the four high-side role vertices."""
-    mids = [roles["w"], roles["x1"], roles["y1"], roles["z1"]]
+    mids = [roles[r] for r in _MID_ROLES]
     A = adjacency_matrix(H)
     h = H.n
     return [[sum(A[c1][c] * A[c][c2] for c in mids) for c2 in range(h)] for c1 in range(h)]
@@ -329,9 +380,7 @@ def build_cut_to_whom(cut: CutInstance, H: Graph, s_override: int | None = None)
     Returns ``(instance, certificate)``.
     """
     G = cut.graph
-    roles = find_induced_j3(H)
-    if roles is None:
-        raise HomredError("target tree has no induced 3-branch junction")
+    roles, vertex_weights = _cut_whom_rows(cut, H)
     n, m = G.n, len(G.edges)
     s = s_override if s_override is not None else 2 + m + 2 * n
     if s < 1:
@@ -339,19 +388,6 @@ def build_cut_to_whom(cut: CutInstance, H: Graph, s_override: int | None = None)
     b, ncuts = multiterminal_cuts(G, cut.terminals)
 
     table = _junction_midpoint_table(H, roles)
-    h = H.n
-    branch_roots = (roles["x0"], roles["y0"], roles["z0"])
-
-    def indicator(cols) -> tuple:
-        row = [0] * h
-        for c in cols:
-            row[c] = 1
-        return tuple(row)
-
-    vertex_weights = {v: indicator(branch_roots) for v in range(n)}
-    for t, role_root in zip(cut.terminals, branch_roots):
-        vertex_weights[t] = indicator([role_root])
-
     inst = EdgeWeightedInstance(
         G,
         H,
@@ -382,26 +418,10 @@ def materialise_cut_to_whom(cut: CutInstance, H: Graph, s: int):
     with the folded instance.  Meant for small cross-checks.
     """
     G = cut.graph
-    roles = find_induced_j3(H)
-    if roles is None:
-        raise HomredError("target tree has no induced 3-branch junction")
+    roles, rows = _cut_whom_rows(cut, H)
     n, m = G.n, len(G.edges)
     edges = []
-    rows: dict[int, tuple] = {}
-    h = H.n
-
-    def indicator(cols) -> tuple:
-        row = [Fraction(0)] * h
-        for c in cols:
-            row[c] = Fraction(1)
-        return tuple(row)
-
-    branch_roots = (roles["x0"], roles["y0"], roles["z0"])
-    for v in range(n):
-        rows[v] = indicator(branch_roots)
-    for t, role_root in zip(cut.terminals, branch_roots):
-        rows[t] = indicator([role_root])
-    mid_roles = indicator([roles["w"], roles["x1"], roles["y1"], roles["z1"]])
+    mid_roles = _indicator(H.n, [roles[r] for r in _MID_ROLES])
     for i, (u, v) in enumerate(G.edges):
         for j in range(s):
             mid = n + i * s + j
@@ -409,7 +429,7 @@ def materialise_cut_to_whom(cut: CutInstance, H: Graph, s: int):
             edges.append((mid, v))
             rows[mid] = mid_roles
     total = n + m * s
-    return Graph(total, edges), WeightTable(total, h, rows)
+    return Graph(total, edges), WeightTable(total, H.n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +455,13 @@ def minimal_potts_jq_s(G: Graph, q: int) -> int:
     return s
 
 
+def _check_potts_jq_input(G: Graph, s: int):
+    if G.n < 1 or not G.is_connected():
+        raise HomredError("the source graph must be connected and nonempty")
+    if s < 1:
+        raise HomredError("star size s must be >= 1")
+
+
 def build_potts_to_jq(G: Graph, q: int, s_override: int | None = None):
     """Potts partition function at gamma = 1 from one homomorphism count.
 
@@ -449,11 +476,8 @@ def build_potts_to_jq(G: Graph, q: int, s_override: int | None = None):
     """
     if q < 3:
         raise HomredError("the junction-tree reduction needs q >= 3")
-    if G.n < 1 or not G.is_connected():
-        raise HomredError("the source graph must be connected and nonempty")
     s = s_override if s_override is not None else minimal_potts_jq_s(G, q)
-    if s < 1:
-        raise HomredError("star size s must be >= 1")
+    _check_potts_jq_input(G, s)
 
     target = junction_tree(q)
     A = adjacency_matrix(target.graph)
@@ -496,10 +520,7 @@ def materialise_potts_to_jq(G: Graph, s: int) -> Graph:
     Plain homomorphism counting into the junction tree agrees with the
     folded instance; meant for emission and small cross-checks.
     """
-    if G.n < 1 or not G.is_connected():
-        raise HomredError("the source graph must be connected and nonempty")
-    if s < 1:
-        raise HomredError("star size s must be >= 1")
+    _check_potts_jq_input(G, s)
     stretched, _ = two_stretch(G)
     apex = stretched.n
     edges = list(stretched.edges) + [(0, apex)]
@@ -645,6 +666,21 @@ def minimal_j3star_r(G: Graph, s: int) -> int:
     return r
 
 
+def _j3star_scaffold(cut: CutInstance):
+    """The junction scaffold of the cut-to-j3star source: the roles w, x0,
+    x1, y0, y1, z0, z1 on vertices n..n+6, w joined to x0, y0, z0 and to
+    every source vertex, and each branch ending x1, y1, z1 joined to its
+    terminal.  Returns ``((x1, y1, z1), edges)``."""
+    n = cut.graph.n
+    v_w, v_x0, v_x1, v_y0, v_y1, v_z0, v_z1 = range(n, n + 7)
+    alpha, beta, gamma_t = cut.terminals
+    edges = [(v_w, v_x0), (v_w, v_y0), (v_w, v_z0)]
+    edges += [(v_x0, v_x1), (v_y0, v_y1), (v_z0, v_z1)]
+    edges += [(v_x1, alpha), (v_y1, beta), (v_z1, gamma_t)]
+    edges += [(v_w, v) for v in range(n)]
+    return (v_x1, v_y1, v_z1), edges
+
+
 def build_cut_to_j3star(
     cut: CutInstance, s_override: int | None = None, r_override: int | None = None
 ):
@@ -677,21 +713,12 @@ def build_cut_to_j3star(
     A = adjacency_matrix(tree.graph)
     A2 = matrix_product(A, A)
 
-    ids = iter(range(n, n + 13))
-    v_w, v_x0, v_x1, v_y0, v_y1, v_z0, v_z1 = (next(ids) for _ in range(7))
-    g_x = next(ids)  # leaf at v_x1, branch multiplicity r
-    g_y1, g_y2 = next(ids), next(ids)  # 2-path: v_y1 - g_y2 - g_y1
-    g_z1, g_z2, g_z3 = next(ids), next(ids), next(ids)  # 3-path at v_z1
-
-    alpha, beta, gamma_t = cut.terminals
-    edges = list(G.edges)
-    edges += [(v_w, v_x0), (v_w, v_y0), (v_w, v_z0)]
-    edges += [(v_x0, v_x1), (v_y0, v_y1), (v_z0, v_z1)]
-    edges += [(v_x1, alpha), (v_y1, beta), (v_z1, gamma_t)]
-    edges += [(v_w, v) for v in range(n)]
-    edges += [(v_x1, g_x)]
-    edges += [(v_y1, g_y2), (g_y2, g_y1)]
-    edges += [(v_z1, g_z3), (g_z3, g_z2), (g_z2, g_z1)]
+    (v_x1, v_y1, v_z1), edges = _j3star_scaffold(cut)
+    g_x, g_y1, g_y2, g_z1, g_z2, g_z3 = range(n + 7, n + 13)
+    edges += G.edges
+    edges += [(v_x1, g_x)]  # a leaf at v_x1, branch multiplicity r
+    edges += [(v_y1, g_y2), (g_y2, g_y1)]  # a 2-path at v_y1
+    edges += [(v_z1, g_z3), (g_z3, g_z2), (g_z2, g_z1)]  # a 3-path at v_z1
 
     core = Graph(n + 13, edges)
     inst = EdgeWeightedInstance(
@@ -729,23 +756,15 @@ def materialise_cut_to_j3star(cut: CutInstance, s: int, r: int) -> Graph:
     Counting plain homomorphisms into the 58-vertex tree agrees with
     the folded instance.
     """
-    G = cut.graph
-    n = G.n
-    edges = []
-    nxt = n
+    (v_x1, v_y1, v_z1), edges = _j3star_scaffold(cut)
+    nxt = cut.graph.n + 7
 
     def fresh() -> int:
         nonlocal nxt
         nxt += 1
         return nxt - 1
 
-    v_w, v_x0, v_x1, v_y0, v_y1, v_z0, v_z1 = (fresh() for _ in range(7))
-    alpha, beta, gamma_t = cut.terminals
-    edges += [(v_w, v_x0), (v_w, v_y0), (v_w, v_z0)]
-    edges += [(v_x0, v_x1), (v_y0, v_y1), (v_z0, v_z1)]
-    edges += [(v_x1, alpha), (v_y1, beta), (v_z1, gamma_t)]
-    edges += [(v_w, v) for v in range(n)]
-    for u, v in G.edges:
+    for u, v in cut.graph.edges:
         for _ in range(s):
             mid = fresh()
             edges += [(u, mid), (mid, v)]
@@ -760,6 +779,27 @@ def materialise_cut_to_j3star(cut: CutInstance, s: int, r: int) -> Graph:
     return Graph(nxt, edges)
 
 
+def materialised_value(cert: ReductionCertificate) -> Fraction:
+    """Recount the certificate's instance with every repetition explicit:
+    the ``materialise_*`` graph of a folded kind, counted as it stands.
+
+    Agrees with :func:`certificate_value`; meant for tiny instances.
+    """
+    inp = cert.inputs
+    if cert.kind == "potts-to-jq":
+        mgraph = materialise_potts_to_jq(_graph_from_obj(inp["graph"]), inp["s"])
+        return Fraction(count_hom(mgraph, junction_tree(inp["q"]).graph))
+    if cert.kind not in ("cut-to-whom", "cut-to-j3star"):
+        raise HomredError(f"certificate kind {cert.kind!r} has no materialised form")
+    cut = CutInstance(_graph_from_obj(inp["graph"]), tuple(inp["terminals"]))
+    if cert.kind == "cut-to-j3star":
+        mgraph = materialise_cut_to_j3star(cut, inp["s"], inp["r"])
+        return Fraction(count_hom(mgraph, j3star_tree().graph))
+    H = _graph_from_obj(inp["target"])
+    mgraph, mwt = materialise_cut_to_whom(cut, H, inp["s"])
+    return count_whom(mgraph, H, mwt)
+
+
 # ---------------------------------------------------------------------------
 # rebuilding, evaluation, verification
 
@@ -768,6 +808,8 @@ def materialise_cut_to_j3star(cut: CutInstance, s: int, r: int) -> Graph:
 # default cut-to-j3star certificate of the largest instance the cut
 # oracle admits (24 edges, 25 vertices) estimates at about 676,000 bits.
 MAX_VALUE_BITS = 1 << 21
+# the decimal digits of such a value: the digit cap certificates are read under
+_MAX_VALUE_DIGITS = math.ceil(MAX_VALUE_BITS * math.log10(2)) + 1
 
 
 def _value_bits(kind: str, inp: dict) -> int:

@@ -3,16 +3,17 @@
 Vertices are dense 0-based integers.  A ``Graph`` is immutable after
 construction and eagerly carries its bipartition (or ``None`` when the
 graph is not bipartite), so downstream code never recomputes 2-colourings.
-Target trees (paths, stars, junction trees, and the decorated junction
-tree used by the hardness construction) expose a label map from human
-names to vertex ids; gadget builders address vertices through labels and
-never hard-code ids.
+Only the junction trees (:func:`junction_tree`, and the decorated
+:func:`j3star_tree` of the hardness construction) carry a label map from
+human names to vertex ids; gadget builders address their vertices
+through labels and never hard-code ids.  Every other target is a plain
+graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import HomredError
@@ -235,9 +236,6 @@ def two_stretch(G: Graph):
     return Graph(G.n + len(G.edges), edges), mid
 
 
-J3_ROLES = ("w", "x0", "x1", "y0", "y1", "z0", "z1")
-
-
 def find_induced_j3(H: Graph) -> dict[str, int] | None:
     """Role map of the lexicographically first induced 3-branch junction.
 
@@ -276,27 +274,14 @@ def classify_tree(H: Graph) -> str:
 class TargetTree:
     """A realised target tree plus a name -> vertex id map."""
 
-    kind: str
     graph: Graph
-    labels: dict[str, int] = field(default_factory=dict)
+    labels: dict[str, int]
 
     def vertex(self, label: str) -> int:
         try:
             return self.labels[label]
         except KeyError:
             raise HomredError(f"target tree has no vertex labelled {label!r}") from None
-
-
-def path_tree(n: int) -> TargetTree:
-    g = path_graph(n)
-    return TargetTree("path", g, {f"p{i+1}": i for i in range(n)})
-
-
-def star_tree(leaves: int) -> TargetTree:
-    g = star_graph(leaves)
-    labels = {"c": 0}
-    labels.update({f"l{i}": i for i in range(1, leaves + 1)})
-    return TargetTree("star", g, labels)
 
 
 def junction_tree(q: int) -> TargetTree:
@@ -317,7 +302,7 @@ def junction_tree(q: int) -> TargetTree:
         labels[f"c{i}"] = c
         edges.append((0, cp))
         edges.append((cp, c))
-    return TargetTree("junction", Graph(2 * q + 1, edges), labels)
+    return TargetTree(Graph(2 * q + 1, edges), labels)
 
 
 def j3star_tree() -> TargetTree:
@@ -364,29 +349,4 @@ def j3star_tree() -> TargetTree:
             for k in range(1, 3):
                 edges.append((z3, add(f"z4_{i}_{j}_{k}")))
 
-    return TargetTree("j3star", Graph(len(labels), edges), labels)
-
-
-def custom_tree(g: Graph, labels: dict[str, int] | None = None) -> TargetTree:
-    if not g.is_tree():
-        raise HomredError("custom target must be a tree")
-    return TargetTree("custom", g, labels or {f"v{i}": i for i in range(g.n)})
-
-
-def build_target_tree(kind: str, param: int | None = None) -> TargetTree:
-    """Dispatch on a tree family name: path, star, junction, j3star."""
-    if kind == "path":
-        if param is None or param < 1:
-            raise HomredError("path tree needs n >= 1")
-        return path_tree(param)
-    if kind == "star":
-        if param is None or param < 1:
-            raise HomredError("star tree needs n >= 1 leaves")
-        return star_tree(param)
-    if kind == "junction":
-        if param is None or param < 1:
-            raise HomredError("junction tree needs q >= 1")
-        return junction_tree(param)
-    if kind == "j3star":
-        return j3star_tree()
-    raise HomredError(f"unknown target tree kind {kind!r}")
+    return TargetTree(Graph(len(labels), edges), labels)

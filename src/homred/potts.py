@@ -22,15 +22,18 @@ gamma, and :func:`random_cluster_graph` is the subset expansion.
 Certificate verification takes its ground truth from them.
 
 Every sum refuses instances with q^n (or 2^m for the random-cluster
-sum) beyond a cap of 10^8, overridable through the HOMRED_ENUM_CAP
-environment variable; the elimination path keeps the same refusal.
+sum) beyond a cap of 10^8, and the elimination path keeps the same
+refusal.  :func:`check_enumeration` is the package's one enumeration
+budget: the cuts of :mod:`homred.gadgets` (2^m above 2^24) and the
+codeword and spin enumerations of :mod:`homred.codes` are refused
+through it too, all with one message, and the HOMRED_ENUM_CAP
+environment variable overrides every default.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
@@ -45,28 +48,18 @@ def enumeration_cap(default: int = 10**8) -> int:
     return int(os.environ.get("HOMRED_ENUM_CAP", str(default)))
 
 
-def _check_cap(size: int, what: str):
-    cap = enumeration_cap()
-    if size > cap:
-        raise HomredError(f"{what} needs {size} enumeration steps, above the cap of {cap}")
+def check_enumeration(steps: int, what: str, default: int = 10**8):
+    """Refuse ``what`` when its ``steps`` exceed :func:`enumeration_cap`."""
+    cap = enumeration_cap(default)
+    if steps > cap:
+        raise HomredError(f"{what} needs {steps} enumeration steps, above the cap of {cap}")
 
 
 def _check_potts_size(n: int, q: int):
     """The refusals every Potts sum shares, enumerated or not."""
     if q < 1:
         raise HomredError("Potts model needs q >= 1 spins")
-    _check_cap(q**n, f"Potts sum on {n} vertices with q={q}")
-
-
-@dataclass(frozen=True)
-class PottsParams:
-    q: int
-    gamma: Fraction
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise HomredError("Potts model needs q >= 1 spins")
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
+    check_enumeration(q**n, f"Potts sum on {n} vertices with q={q}")
 
 
 def potts_mono_histogram(G: Graph, q: int) -> dict[int, int]:
@@ -145,7 +138,7 @@ def random_cluster_graph(G: Graph, q: int, gamma) -> Fraction:
         raise HomredError("random-cluster sum needs q >= 1")
     gamma = Fraction(gamma)
     m = len(G.edges)
-    _check_cap(2**m, f"random-cluster sum over {m} edges")
+    check_enumeration(2**m, f"random-cluster sum over {m} edges")
     gpow = [Fraction(1)]
     for _ in range(m):
         gpow.append(gpow[-1] * gamma)

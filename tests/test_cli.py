@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import homred
 from homred.cli import main
 from homred.csp import WeightedCspInstance, count_wcsp
 from homred.formats import parse_csp, parse_graph, parse_weights
@@ -249,6 +253,29 @@ def test_reduce_cut_to_j3star_defaults(tmp_path, capsys):
     assert "recovered: 3" in out
 
 
+def test_reduce_whom_to_csp_long_path_target(tmp_path, capsys):
+    path = "graph 1500 1499\n" + "".join(f"e {i} {i + 1}\n" for i in range(1499))
+    target = put(tmp_path, "p1500.graph", path)
+    g = put(tmp_path, "k2.graph", K2)
+    code, out, _ = run(capsys, "reduce", "whom-to-csp", "--target", "file:" + target,
+                       "--out", str(tmp_path / "wc"), g)
+    assert code == 0
+    assert "value: 2998" in out
+
+
+def test_reduce_whom_to_csp_long_weights(tmp_path, capsys):
+    # 3,000-digit weights give 6,000-digit level ratios in the emitted csp files
+    big, small = "7" * 3000, "1/" + "3" * 3000
+    w = put(tmp_path, "long.weights",
+            f"weights 2 4\nw 0 {big} 1 {small} 1\nw 1 {big} 1 {small} 1\n")
+    g = put(tmp_path, "k2.graph", K2)
+    code, out, _ = run(capsys, "reduce", "whom-to-csp", "--target", "p4", "--weights", w,
+                       "--out", str(tmp_path / "wc"), g)
+    assert code == 0
+    code, whom, _ = run(capsys, "whom", "--target", "p4", "--weights", w, g)
+    assert code == 0 and f"value: {whom}" in out
+
+
 def test_reduce_whom_to_csp(tmp_path, capsys):
     g = put(tmp_path, "p3.graph", P3)
     prefix = str(tmp_path / "wc")
@@ -320,6 +347,53 @@ def test_verify_certificate_refuses_huge_r(tmp_path, capsys):
 
 def test_verify_certificate_refuses_huge_s(tmp_path, capsys):
     assert _oversized_j3star_certificate(tmp_path, capsys, "s") > 10**7
+
+
+def test_import_keeps_the_int_digit_limit():
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    env["PYTHONPATH"] = str(pathlib.Path(homred.__file__).parents[1])
+    probe = "import sys, homred.cli; print(sys.get_int_max_str_digits())"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "4300\n"
+
+
+def test_verify_certificate_long_gamma(tmp_path, capsys):
+    # a 5,000-digit gamma parses, and the value bound then refuses it
+    hg = put(tmp_path, "mixed.hypergraph", HYPER)
+    prefix = str(tmp_path / "uni")
+    code, _, _ = run(capsys, "reduce", "uniformize", "-q", "2", "--gamma", "1/2",
+                     "--s", "200", "--out", prefix, hg)
+    assert code == 0
+    cert_path = pathlib.Path(prefix + ".cert.json")
+    payload = json.loads(cert_path.read_text())
+    payload["inputs"]["gamma"] = "7" * 5000
+    cert_path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "verify", "certificate", str(cert_path))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: certificate value estimated at ")
+
+
+def test_verify_certificate_integer_above_the_digit_bound(tmp_path, capsys):
+    g = put(tmp_path, "p3.graph", P3)
+    prefix = str(tmp_path / "p3cut")
+    code, _, _ = run(capsys, "reduce", "cut-to-whom", "--terminals", "0,1,2",
+                     "--target", "jq:3", "--out", prefix, g)
+    assert code == 0
+    cert_path = pathlib.Path(prefix + ".cert.json")
+    payload = json.loads(cert_path.read_text())
+    payload["inputs"]["s"] = "DIGITS"
+    cert_path.write_text(json.dumps(payload).replace('"DIGITS"', "9" * 700_000))
+    code, out, err = run(capsys, "verify", "certificate", str(cert_path))
+    assert code == 2 and out == ""
+    assert err == "error: malformed certificate: a number has more than 631307 digits\n"
+
+
+def test_graph_header_with_5000_digits(tmp_path, capsys):
+    g = put(tmp_path, "huge.graph", "graph " + "9" * 5000 + " 0\n")
+    code, out, err = run(capsys, "hom", "--target", "p4", g)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "line 1: expected integer" in err
 
 
 def test_verify_certificate_missing_input(tmp_path, capsys):

@@ -107,7 +107,7 @@ def test_weight_enumerator_vs_naive():
 def test_weight_enumerator_cap(monkeypatch):
     monkeypatch.setenv("HOMRED_ENUM_CAP", "3")
     code = LinearCode(2, 2, ((1, 0), (0, 1)))
-    with pytest.raises(HomredError, match="above the enumeration cap"):
+    with pytest.raises(HomredError, match="above the cap of 3"):
         weight_enumerator(code, Fraction(1, 2))
 
 

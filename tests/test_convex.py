@@ -63,6 +63,13 @@ def test_convex_order_path4():
     assert order.m == {1: 1, 2: 2} and order.M == {1: 2, 2: 2}
 
 
+def test_convex_order_long_path():
+    # peeling is a loop: 750 layers deep stays within the default recursion limit
+    order = convex_order(path_graph(1500))
+    assert order.pi == {v: 750 - v // 2 for v in range(0, 1500, 2)}
+    assert order.pip == {v: 750 - v // 2 for v in range(1, 1500, 2)}
+
+
 def test_convex_order_single_vertex():
     order = convex_order(Graph(1, []))
     assert order == ConvexOrder((0,), (), {0: 1}, {}, {1: 1}, {1: 0}, {}, {})

@@ -1,5 +1,6 @@
 """Reduction gadget construction, counting, and certificate verification."""
 
+import hashlib
 import itertools
 import random
 import sys
@@ -23,6 +24,7 @@ from homred.gadgets import (
     materialise_cut_to_j3star,
     materialise_cut_to_whom,
     materialise_potts_to_jq,
+    materialised_value,
     minimal_j3star_r,
     minimal_potts_jq_s,
     minimal_uniformize_s,
@@ -41,6 +43,7 @@ from homred.graphs import (
     path_graph,
     star_graph,
 )
+from homred.formats import format_graph, format_weights
 from homred.homcount import count_ewhom, count_hom, count_whom
 from homred.potts import potts_graph, potts_hypergraph
 
@@ -152,6 +155,13 @@ def test_cut_instance_validation():
         CutInstance(Graph(4, [(0, 1), (2, 3)]), (0, 1, 2))
     with pytest.raises(HomredError, match="connected"):
         multiterminal_cuts(Graph(4, [(0, 1), (2, 3)]), (0, 1, 2))
+
+
+@pytest.mark.parametrize("count", [multiterminal_cuts, multiterminal_cuts_oracle])
+@pytest.mark.parametrize("terminals", [(0, 1, -1), (0, 1, 7)])
+def test_cut_terminals_out_of_range(count, terminals):
+    with pytest.raises(HomredError, match="out of range"):
+        count(cycle_graph(5), terminals)
 
 
 def test_cut_enumeration_cap(monkeypatch):
@@ -444,6 +454,51 @@ def test_j3star_full_verification():
     back = ReductionCertificate.from_json(cert.to_json())
     assert back.constants["scale"] == cert.constants["scale"]
     assert verify_certificate(back)["passed"]
+
+
+# sha256 of the emitted files of each materialise_* builder on fixed inputs,
+# so that any renumbering of the materialised vertices shows
+MATERIALISED_SHA256 = {
+    "cut-to-whom jq:3": "2e240f1dca05cb8944cdff9ad2b2b797f6393ded995c8af64212bcbf64c74f6b",
+    "cut-to-whom spider": "8cf322424d7b0c48d4caa1f3918494a17dfd74d5e7f2bf63b0128ed0f27ef5e1",
+    "potts-to-jq": "5b3072fdcfcd60a9e89c28a0ef44accc8b432a68f7ba33e9f331a81196e32465",
+    "cut-to-j3star": "f11f19c538cf40c285bdb7e5ead779a8ce2375ff8981cdd45933bb943c6154d2",
+}
+
+
+def test_materialised_files_are_frozen():
+    def digest(*texts):
+        return hashlib.sha256("".join(texts).encode()).hexdigest()
+
+    cut = CutInstance(cycle_graph(4), (0, 1, 2))
+    # a tree whose junction roles sit away from the lowest ids
+    spider = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5), (5, 6), (3, 7), (7, 8)])
+    got = {}
+    for name, H, s in (("cut-to-whom jq:3", junction_tree(3).graph, 2), ("cut-to-whom spider", spider, 3)):
+        g, wt = materialise_cut_to_whom(cut, H, s)
+        got[name] = digest(format_graph(g), format_weights(wt))
+    got["potts-to-jq"] = digest(format_graph(materialise_potts_to_jq(cycle_graph(3), 3)))
+    j3cut = CutInstance(cycle_graph(4), (0, 2, 3))
+    got["cut-to-j3star"] = digest(format_graph(materialise_cut_to_j3star(j3cut, 2, 2)))
+    assert got == MATERIALISED_SHA256
+
+
+def test_materialised_value_matches_certificate_value():
+    cut = CutInstance(path_graph(3), (0, 1, 2))
+    folded = [
+        build_cut_to_whom(cut, junction_tree(3).graph, s_override=2)[1],
+        build_potts_to_jq(cycle_graph(3), 3, s_override=2)[1],
+        build_cut_to_j3star(cut, s_override=1, r_override=1)[1],
+    ]
+    for cert in folded:
+        loaded = ReductionCertificate.from_json(cert.to_json())
+        assert materialised_value(loaded) == certificate_value(loaded)
+    for cert in (
+        build_jq_to_hyperpotts(path_graph(3), 3)[1],
+        uniformize(Hypergraph(3, [(0, 1, 2), (0, 1)]), 2, 1)[1],
+    ):
+        with pytest.raises(HomredError, match="no materialised form"):
+            materialised_value(cert)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,11 @@ from homred.graphs import (
     STAR,
     Graph,
     Hypergraph,
-    build_target_tree,
     classify_tree,
     complete_bipartite,
     complete_bipartite_parts,
     complete_graph,
     components,
-    custom_tree,
     cycle_graph,
     find_induced_j3,
     j3star_tree,
@@ -23,8 +21,6 @@ from homred.graphs import (
     path_graph,
     star_graph,
     two_stretch,
-    star_tree,
-    path_tree,
 )
 from oracles import (
     ahu_canonical,
@@ -213,16 +209,6 @@ def test_target_tree_lookup_and_custom():
     jt = junction_tree(3)
     with pytest.raises(HomredError):
         jt.vertex("nope")
-    with pytest.raises(HomredError):
-        custom_tree(cycle_graph(4), {})
-    assert build_target_tree("path", 4).graph.n == 4
-    assert build_target_tree("star", 3).graph.n == 4
-    assert build_target_tree("junction", 3).graph.n == 7
-    assert build_target_tree("j3star", None).graph.n == 58
-    with pytest.raises(HomredError):
-        build_target_tree("ladder", 3)
-    assert path_tree(4).vertex("p1") == 0
-    assert star_tree(3).vertex("c") == 0
 
 
 def test_hypergraph_validation():

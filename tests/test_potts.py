@@ -14,6 +14,8 @@ from homred.graphs import (
     path_graph,
     star_graph,
 )
+from homred.codes import LinearCode, build_potts_code, check_q_to_one, weight_enumerator
+from homred.gadgets import multiterminal_cuts
 from homred.potts import (
     count_proper_colourings,
     enumeration_cap,
@@ -188,6 +190,30 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.delenv("HOMRED_ENUM_CAP")
     assert enumeration_cap() == 10**8
     assert enumeration_cap(default=7) == 7
+
+
+@pytest.mark.parametrize(
+    "refused, steps",
+    [
+        pytest.param(lambda: potts_hypergraph(Hypergraph(2, [(0, 1)]), 2, 1), 4, id="potts"),
+        pytest.param(lambda: potts_mono_histogram(path_graph(3), 2), 8, id="potts-oracle"),
+        pytest.param(lambda: random_cluster_graph(cycle_graph(3), 2, 1), 8, id="random-cluster"),
+        pytest.param(lambda: multiterminal_cuts(path_graph(5), (0, 2, 4)), 16, id="cuts"),
+        pytest.param(
+            lambda: weight_enumerator(LinearCode(2, 2, ((1, 0), (0, 1))), Fraction(1, 2)),
+            4,
+            id="codewords",
+        ),
+        pytest.param(
+            lambda: check_q_to_one(build_potts_code(path_graph(3), 2, 1)), 8, id="q-to-one"
+        ),
+    ],
+)
+def test_every_enumeration_refusal_shares_one_budget(monkeypatch, refused, steps):
+    monkeypatch.setenv("HOMRED_ENUM_CAP", "3")
+    with pytest.raises(HomredError) as exc:
+        refused()
+    assert str(exc.value).endswith(f" needs {steps} enumeration steps, above the cap of 3")
 
 
 def test_validation():
