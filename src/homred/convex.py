@@ -56,14 +56,10 @@ class ConvexOrder:
         return len(self.Up)
 
     def u_at(self, i: int) -> int:
-        return self._inv(self.pi)[i]
+        return {pos: v for v, pos in self.pi.items()}[i]
 
     def up_at(self, i: int) -> int:
-        return self._inv(self.pip)[i]
-
-    @staticmethod
-    def _inv(d: dict[int, int]) -> dict[int, int]:
-        return {pos: v for v, pos in d.items()}
+        return {pos: v for v, pos in self.pip.items()}[i]
 
     def swapped(self) -> "ConvexOrder":
         return ConvexOrder(self.Up, self.U, self.pip, self.pi, self.mp, self.Mp, self.m, self.M)
@@ -250,7 +246,7 @@ def reduce_whom_side(G: Graph, left, right, order: ConvexOrder, wt: WeightTable)
     one = Fraction(1)
     weights: list[tuple[Fraction, Fraction]] = [(one, one)] * nvars
 
-    def wire_chain(v: int, levels: int, colour_of):
+    def wire_chain(v: int, levels: int, colour_of: dict[int, int]):
         pins0.add(var((v, 0)))
         pins1.add(var((v, levels)))
         for i in range(1, levels + 1):
@@ -258,7 +254,7 @@ def reduce_whom_side(G: Graph, left, right, order: ConvexOrder, wt: WeightTable)
         row = wt.row(v)
         eff = []
         for i in range(1, levels + 1):
-            w = row[colour_of(i)]
+            w = row[colour_of[i]]
             if w == 0:
                 imps.append((var((v, i)), var((v, i - 1))))
                 w = one
@@ -268,10 +264,12 @@ def reduce_whom_side(G: Graph, left, right, order: ConvexOrder, wt: WeightTable)
         if levels >= 1:
             weights[var((v, levels))] = (one, eff[levels - 1])
 
+    u_at = {pos: u for u, pos in order.pi.items()}
+    up_at = {pos: u for u, pos in order.pip.items()}
     for v in left:
-        wire_chain(v, h, lambda i: order.u_at(i))
+        wire_chain(v, h, u_at)
     for v in right:
-        wire_chain(v, hp, lambda i: order.up_at(i))
+        wire_chain(v, hp, up_at)
 
     for a, b in G.edges:
         v, vp = (a, b) if a in leftset else (b, a)

@@ -11,7 +11,9 @@ the implication digraph (variables in a cycle of implications are
 equal), splits into weakly connected parts, and then branches on a
 high-degree variable: setting it to 1 fixes its forward closure, setting
 it to 0 fixes its backward closure, and both closures detach cleanly
-from the rest.  Results are memoised per active variable set.
+from the rest.  Results are memoised per active variable set, and the
+branching runs on an explicit stack, so its depth is not bounded by
+Python's recursion limit.
 
 :func:`compile_weight_gadget` removes the weights again: each variable
 grows two chains of small implication blocks whose standalone solution
@@ -205,7 +207,7 @@ def count_wcsp(inst: WeightedCspInstance) -> Fraction:
                 cpred[cid[y]].add(cid[x])
     cboth = [csucc[i] | cpred[i] for i in range(k)]
 
-    memo: dict[frozenset[int], object] = {}
+    memo: dict[frozenset[int], object] = {frozenset(): 1}
 
     def weak_components(active: frozenset[int]) -> list[frozenset[int]]:
         left = set(active)
@@ -217,25 +219,17 @@ def count_wcsp(inst: WeightedCspInstance) -> Fraction:
             out.append(frozenset(comp))
         return out
 
-    def solve(active: frozenset[int]):
-        if not active:
-            return 1
-        got = memo.get(active)
-        if got is not None:
-            return got
+    def expand(active: frozenset[int]) -> list[tuple[object, list[frozenset[int]]]]:
+        """The value of ``active`` as a sum of ``coefficient * product of
+        the children's values`` terms."""
         parts = weak_components(active)
         if len(parts) > 1:
-            result = 1
-            for part in parts:
-                result *= solve(part)
-            memo[active] = result
-            return result
+            return [(1, parts)]
         if all(not (csucc[v] & active) for v in active):
             result = 1
             for v in active:
                 result *= g0[v] + g1[v]
-            memo[active] = result
-            return result
+            return [(result, [])]
         v = min(active, key=lambda u: (-len(cboth[u] & active), u))
         fwd = frozenset(_closure([v], csucc, active))
         bwd = frozenset(_closure([v], cpred, active))
@@ -245,13 +239,34 @@ def count_wcsp(inst: WeightedCspInstance) -> Fraction:
         lo = 1
         for u in bwd:
             lo *= g0[u]
-        result = 0
-        if hi:
-            result += hi * solve(active - fwd)
-        if lo:
-            result += lo * solve(active - bwd)
-        memo[active] = result
-        return result
+        return [(c, [active - fixed]) for c, fixed in ((hi, fwd), (lo, bwd)) if c]
+
+    def solve(root: frozenset[int]):
+        """Memoised value of ``root``, with an explicit stack in place of
+        recursion: a set stays on the stack until its children are known."""
+        stack = [root]
+        pending: dict[frozenset[int], list] = {}
+        while stack:
+            active = stack[-1]
+            if active in memo:
+                stack.pop()
+                continue
+            terms = pending.get(active)
+            if terms is None:
+                terms = pending[active] = expand(active)
+            todo = [c for _, children in terms for c in children if c not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            del pending[active]
+            result = 0
+            for coef, children in terms:
+                for c in children:
+                    coef *= memo[c]
+                result += coef
+            memo[active] = result
+        return memo[root]
 
     return Fraction(scalar * solve(frozenset(range(k))))
 

@@ -50,11 +50,9 @@ from .graphs import (
 from .homcount import (
     EdgeWeightedInstance,
     WeightTable,
-    adjacency_matrix,
     count_ewhom,
     count_hom,
     count_whom,
-    matrix_product,
     sum_product,
 )
 from .potts import (
@@ -132,7 +130,7 @@ def multiterminal_cuts(G: Graph, terminals) -> tuple[int, int]:
     weights = [[1, 1, 1] for _ in range(G.n)]
     for colour, t in enumerate(terminals):
         weights[t] = [int(c == colour) for c in range(3)]
-    cost = [[1 if c == d else X for d in range(3)] for c in range(3)]
+    cost = [[(d, 1 if c == d else X) for d in range(3)] for c in range(3)]
     P = int(sum_product(G, 3, weights, dict.fromkeys(G.edges, cost)))
     b = ((P & -P).bit_length() - 1) // s
     return b, (P >> (b * s)) & (X - 1)
@@ -342,6 +340,20 @@ def _indicator(h: int, cols) -> tuple[int, ...]:
     return tuple(int(c in cols) for c in range(h))
 
 
+def _two_path_table(H: Graph, mids=None) -> list[list[int]]:
+    """Counts of the 2-paths a-c-b of H whose middle c lies in ``mids``
+    (every vertex by default, which gives the squared adjacency matrix),
+    indexed ``[a][b]`` and built from the neighbour lists."""
+    T = [[0] * H.n for _ in range(H.n)]
+    for c in range(H.n) if mids is None else mids:
+        nbrs = H.neighbours(c)
+        for a in nbrs:
+            row = T[a]
+            for b in nbrs:
+                row[b] += 1
+    return T
+
+
 def _cut_whom_rows(cut: CutInstance, H: Graph):
     """The junction roles of H and the cut gadget's source vertex rows:
     every vertex confined to the three branch roots, each terminal
@@ -354,14 +366,6 @@ def _cut_whom_rows(cut: CutInstance, H: Graph):
     for t, role_root in zip(cut.terminals, branch_roots):
         rows[t] = _indicator(H.n, [role_root])
     return roles, rows
-
-
-def _junction_midpoint_table(H: Graph, roles: dict[str, int]) -> list[list[int]]:
-    """Common-neighbour counts through the four high-side role vertices."""
-    mids = [roles[r] for r in _MID_ROLES]
-    A = adjacency_matrix(H)
-    h = H.n
-    return [[sum(A[c1][c] * A[c][c2] for c in mids) for c2 in range(h)] for c1 in range(h)]
 
 
 def build_cut_to_whom(cut: CutInstance, H: Graph, s_override: int | None = None):
@@ -387,7 +391,7 @@ def build_cut_to_whom(cut: CutInstance, H: Graph, s_override: int | None = None)
         raise HomredError("path multiplicity s must be >= 1")
     b, ncuts = multiterminal_cuts(G, cut.terminals)
 
-    table = _junction_midpoint_table(H, roles)
+    table = _two_path_table(H, [roles[r] for r in _MID_ROLES])
     inst = EdgeWeightedInstance(
         G,
         H,
@@ -432,6 +436,19 @@ def materialise_cut_to_whom(cut: CutInstance, H: Graph, s: int):
     return Graph(total, edges), WeightTable(total, H.n, rows)
 
 
+def _least_exponent(base: Fraction, rhs) -> int:
+    """The smallest s >= 1 with base^s >= rhs, for base > 1 and rhs > 0: a
+    logarithm estimate, settled by exact comparisons."""
+    base, rhs = Fraction(base), Fraction(rhs)
+    ln = lambda x: math.log(x.numerator) - math.log(x.denominator)
+    s = max(1, math.ceil(ln(rhs) / ln(base)))
+    while s > 1 and base ** (s - 1) >= rhs:
+        s -= 1
+    while base**s < rhs:
+        s += 1
+    return s
+
+
 # ---------------------------------------------------------------------------
 # potts-to-jq: the Potts sum at gamma = 1 via junction-tree homomorphisms
 
@@ -445,14 +462,7 @@ def minimal_potts_jq_s(G: Graph, q: int) -> int:
     """Smallest s with (q/2)^s >= 8q (q+1)^{|V|+|E|}."""
     if q < 3:
         raise HomredError("the junction-tree reduction needs q >= 3")
-    rhs = 8 * q * (q + 1) ** (G.n + len(G.edges))
-    s = 1
-    pq, p2 = q, 2
-    while pq < rhs * p2:
-        s += 1
-        pq *= q
-        p2 *= 2
-    return s
+    return _least_exponent(Fraction(q, 2), 8 * q * (q + 1) ** (G.n + len(G.edges)))
 
 
 def _check_potts_jq_input(G: Graph, s: int):
@@ -480,8 +490,7 @@ def build_potts_to_jq(G: Graph, q: int, s_override: int | None = None):
     _check_potts_jq_input(G, s)
 
     target = junction_tree(q)
-    A = adjacency_matrix(target.graph)
-    A2 = matrix_product(A, A)
+    A2 = _two_path_table(target.graph)
 
     apex = G.n
     leaf = G.n + 1
@@ -492,8 +501,7 @@ def build_potts_to_jq(G: Graph, q: int, s_override: int | None = None):
         edge_tables={e: A2 for e in G.edges},
         vertex_mult={leaf: s},
     )
-    centre = target.vertex("w")
-    pin_row = tuple(1 if c == centre else 0 for c in range(target.graph.n))
+    pin_row = _indicator(target.graph.n, [target.vertex("w")])
     pinned = EdgeWeightedInstance(
         core,
         target.graph,
@@ -572,8 +580,7 @@ def build_jq_to_hyperpotts(B: Graph, q: int, side: str = "left"):
     hg = Hypergraph(len(occupied), hyperedges)
 
     target = junction_tree(q)
-    mids = [target.vertex(f"c'{i}") for i in range(1, q + 1)]
-    row = tuple(1 if c in set(mids) else 0 for c in range(target.graph.n))
+    row = _indicator(target.graph.n, {target.vertex(f"c'{i}") for i in range(1, q + 1)})
     restricted = EdgeWeightedInstance(
         B, target.graph, vertex_weights={u: row for u in occupied}
     )
@@ -596,13 +603,7 @@ def minimal_uniformize_s(HG: Hypergraph, q: int, gamma: Fraction, t: int) -> int
     if base <= 1:
         raise HomredError("uniformization needs gamma > 0")
     n, m = HG.n, len(HG.hyperedges)
-    rhs = 4 * Fraction(q) ** (n + m * (t - 1)) * base**m
-    s = 1
-    p = base
-    while p < rhs:
-        s += 1
-        p *= base
-    return s
+    return _least_exponent(base, 4 * Fraction(q) ** (n + m * (t - 1)) * base**m)
 
 
 def uniformize(HG: Hypergraph, q: int, gamma, s_override: int | None = None):
@@ -656,14 +657,7 @@ J3STAR_BRANCH_PRODUCT = 6 * 18 * 46  # walk counts at the three distinguished ve
 
 def minimal_j3star_r(G: Graph, s: int) -> int:
     """Smallest r with (46/40)^r >= 8 * 58^{|V| + s|E| + 7}."""
-    rhs = 8 * 58 ** (G.n + s * len(G.edges) + 7)
-    r = 1
-    p46, p40 = 46, 40
-    while p46 < rhs * p40:
-        r += 1
-        p46 *= 46
-        p40 *= 40
-    return r
+    return _least_exponent(Fraction(46, 40), 8 * 58 ** (G.n + s * len(G.edges) + 7))
 
 
 def _j3star_scaffold(cut: CutInstance):
@@ -710,8 +704,7 @@ def build_cut_to_j3star(
     b, ncuts = multiterminal_cuts(G, cut.terminals)
 
     tree = j3star_tree()
-    A = adjacency_matrix(tree.graph)
-    A2 = matrix_product(A, A)
+    A2 = _two_path_table(tree.graph)
 
     (v_x1, v_y1, v_z1), edges = _j3star_scaffold(cut)
     g_x, g_y1, g_y2, g_z1, g_z2, g_z3 = range(n + 7, n + 13)

@@ -25,8 +25,11 @@ resolved), isolated-vertex factoring, and bucket elimination (Dechter,
 *Artificial Intelligence* 113, 1999) over the remaining core with a
 greedy minimum-degree order.
 
-Every distinct edge table is converted once into its nonzero entries
-per row, and both absorption and the core read that one form.
+Tables arrive as their nonzero entries per row: the default adjacency
+rows come from the target's neighbour lists, and a table given densely
+on the instance is scanned once per distinct (table, multiplicity)
+pair.  Absorption and the core read that one form, and no step does
+Theta(h^2) work beyond that scan.
 Absorption is linear in the source tree and sparse in the table: a heap
 hands out the pendants in a fixed order (multiplicity-bearing pendants
 first, then smallest id), and a fold visits only the pendant's nonzero
@@ -101,34 +104,6 @@ class WeightTable:
         if got is None:
             return (Fraction(1),) * self.h
         return got
-
-
-def adjacency_matrix(H: Graph) -> list[list[int]]:
-    A = [[0] * H.n for _ in range(H.n)]
-    for u, v in H.edges:
-        A[u][v] = 1
-        A[v][u] = 1
-    return A
-
-
-def matrix_product(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if not a:
-                continue
-            Bt = B[t]
-            row = out[i]
-            for j in range(m):
-                row[j] += a * Bt[j]
-    return out
-
-
-def entrywise_power(T, k: int):
-    return [[x**k for x in row] for row in T]
 
 
 @dataclass
@@ -243,15 +218,14 @@ def _eliminate(v: int, factors: list[_Factor], h: int) -> list[_Factor]:
 
 
 class _SparseTable:
-    """An ``h x h`` table as its nonzero entries per row, converted once per
-    distinct table and shared by pendant absorption and the core.  It keeps
-    the table itself, so the ``id`` it is cached under cannot be reused."""
+    """An ``h x h`` table as its nonzero ``(column, value)`` pairs per row,
+    shared by pendant absorption and the core.  It holds the rows object,
+    so the ``id`` that object is cached under cannot be reused."""
 
-    __slots__ = ("table", "rows", "_cols", "_scaled")
+    __slots__ = ("rows", "_cols", "_scaled")
 
-    def __init__(self, T):
-        self.table = T
-        self.rows = [[(j, x) for j, x in enumerate(row) if x] for row in T]
+    def __init__(self, rows):
+        self.rows = rows
         self._cols = None
         self._scaled = None
 
@@ -286,25 +260,26 @@ def count_ewhom(inst: EdgeWeightedInstance) -> Fraction:
     """Exact value of the weighted homomorphism sum for ``inst``."""
     G, H = inst.graph, inst.target
     h = H.n
-    adjH = adjacency_matrix(H)
 
     weights = []
     for v in range(G.n):
         row = inst.vertex_weights.get(v)
         weights.append([_num(x) for x in row] if row is not None else [1] * h)
 
-    # One prepared table per distinct (raw table, multiplicity) pair: edges
-    # without a table of their own share adjH.
+    # Edges without a table share the adjacency rows, whose 0/1 entries no
+    # multiplicity changes; each distinct (raw table, m) is converted once.
+    adjacency = [[(j, 1) for j in H.neighbours(i)] for i in range(h)]
     prepared: dict[tuple[int, int], list[list]] = {}
     tables: dict[tuple[int, int], list[list]] = {}
     for e in G.edges:
         raw = inst.edge_tables.get(e)
+        if raw is None:
+            tables[e] = adjacency
+            continue
         m = inst.edge_mult.get(e, 1)
         T = prepared.get((id(raw), m))
         if T is None:
-            T = [[_num(x) for x in row] for row in raw] if raw is not None else adjH
-            if m > 1:
-                T = entrywise_power(T, m)
+            T = [[(j, _num(x) ** m) for j, x in enumerate(row) if x] for row in raw]
             prepared[id(raw), m] = T
         tables[e] = T
     return sum_product(G, h, weights, tables, inst.vertex_mult)
@@ -318,8 +293,10 @@ def sum_product(G: Graph, h: int, weights, tables, vertex_mult=None) -> Fraction
 
     ``weights`` is a list holding one list of ``h`` ints or Fractions per
     vertex, and ``tables`` a dict holding one ``h x h`` table per edge
-    ``(u, v)``, ``u < v``, with rows indexed by the colour of ``u``;
-    edges holding the same table object share one sparse copy of it.
+    ``(u, v)``, ``u < v``, as its nonzero entries: ``h`` rows, indexed by
+    the colour of ``u``, of ``(column, value)`` pairs, so no step does
+    Theta(h^2) work; edges holding the same rows object share its
+    transpose and scaled form.
     ``vertex_mult`` (``mu_v``) replicates the pendant branch at a
     vertex, as in :class:`EdgeWeightedInstance`.  Entries may have any
     sign: the core only multiplies and adds.  Both ``weights`` and

@@ -121,9 +121,9 @@ def potts_hypergraph(HG: Hypergraph, q: int, gamma) -> Fraction:
     for y, (f, mult) in enumerate(grouped.items(), start=n):
         weights.append([1] + [base**mult - 1] * q)
         edges.extend((u, y) for u in f)
-    # rows by the member's colour: a member never takes 0, and follows y
-    # unless y is 0
-    incidence = [[int(c > 0 and y in (0, c)) for y in range(q + 1)] for c in range(q + 1)]
+    # nonzero entries by the member's colour: a member never takes 0, and
+    # follows y unless y is 0
+    incidence = [[]] + [[(0, 1), (c, 1)] for c in range(1, q + 1)]
     G = Graph(n + len(grouped), edges)
     return sum_product(G, q + 1, weights, dict.fromkeys(G.edges, incidence))
 

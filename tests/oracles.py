@@ -70,6 +70,60 @@ def naive_ewhom(G: Graph, H: Graph, vertex_weights=None, edge_tables=None, edge_
     return total
 
 
+def dense_adjacency(H: Graph) -> list[list[int]]:
+    """The adjacency matrix of H as an ``h x h`` list of lists."""
+    A = [[0] * H.n for _ in range(H.n)]
+    for u, v in H.edges:
+        A[u][v] = A[v][u] = 1
+    return A
+
+
+def dense_product(A, B) -> list[list[int]]:
+    """The matrix product A B, entry by entry."""
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+# ---------------------------------------------------------------------------
+# gadget exponents by stepping one power at a time
+
+
+def step_minimal_potts_jq_s(G: Graph, q: int) -> int:
+    """Smallest s with q^s >= 8q (q+1)^{|V|+|E|} 2^s."""
+    rhs = 8 * q * (q + 1) ** (G.n + len(G.edges))
+    s = 1
+    pq, p2 = q, 2
+    while pq < rhs * p2:
+        s += 1
+        pq *= q
+        p2 *= 2
+    return s
+
+
+def step_minimal_uniformize_s(HG, q: int, gamma: Fraction, t: int) -> int:
+    """Smallest s with (1+gamma)^s >= 4 q^{n + m(t-1)} (1+gamma)^m."""
+    base = 1 + Fraction(gamma)
+    n, m = HG.n, len(HG.hyperedges)
+    rhs = 4 * Fraction(q) ** (n + m * (t - 1)) * base**m
+    s = 1
+    p = base
+    while p < rhs:
+        s += 1
+        p *= base
+    return s
+
+
+def step_minimal_j3star_r(G: Graph, s: int) -> int:
+    """Smallest r with 46^r >= 8 * 58^{|V| + s|E| + 7} * 40^r."""
+    rhs = 8 * 58 ** (G.n + s * len(G.edges) + 7)
+    r = 1
+    p46, p40 = 46, 40
+    while p46 < rhs * p40:
+        r += 1
+        p46 *= 46
+        p40 *= 40
+    return r
+
+
 def naive_csp(nvars, imps, pins0=(), pins1=(), weights=None):
     """Count (or weigh) assignments of a binary implication CSP."""
     total = Fraction(0)

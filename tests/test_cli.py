@@ -263,6 +263,17 @@ def test_reduce_whom_to_csp_long_path_target(tmp_path, capsys):
     assert "value: 2998" in out
 
 
+def test_reduce_whom_to_csp_branches_without_recursion(tmp_path, capsys):
+    # the branching in count_wcsp goes one level deeper per chain level
+    path = "graph 3000 2999\n" + "".join(f"e {i} {i + 1}\n" for i in range(2999))
+    target = put(tmp_path, "p3000.graph", path)
+    g = put(tmp_path, "k2.graph", K2)
+    code, out, _ = run(capsys, "reduce", "whom-to-csp", "--target", "file:" + target,
+                       "--out", str(tmp_path / "wc"), g)
+    assert code == 0
+    assert "value: 5998" in out
+
+
 def test_reduce_whom_to_csp_long_weights(tmp_path, capsys):
     # 3,000-digit weights give 6,000-digit level ratios in the emitted csp files
     big, small = "7" * 3000, "1/" + "3" * 3000

@@ -14,6 +14,8 @@ from homred.gadgets import (
     J3STAR_BRANCH_PRODUCT,
     CutInstance,
     ReductionCertificate,
+    _least_exponent,
+    _two_path_table,
     build_cut_to_j3star,
     build_cut_to_whom,
     build_jq_to_hyperpotts,
@@ -46,6 +48,14 @@ from homred.graphs import (
 from homred.formats import format_graph, format_weights
 from homred.homcount import count_ewhom, count_hom, count_whom
 from homred.potts import potts_graph, potts_hypergraph
+from oracles import (
+    dense_adjacency,
+    dense_product,
+    random_tree,
+    step_minimal_j3star_r,
+    step_minimal_potts_jq_s,
+    step_minimal_uniformize_s,
+)
 
 
 def naive_cuts(G, terminals):
@@ -592,3 +602,60 @@ def test_verify_respects_inclusive_bounds():
     assert verify_certificate(cert, oracle=Fraction(11, 4))["passed"]
     assert not verify_certificate(cert, oracle=Fraction(10, 4))["passed"]
     assert not verify_certificate(cert, oracle=Fraction(13, 4))["passed"]
+
+
+# ---------------------------------------------------------------------------
+# the shared 2-path table and exponent search
+
+
+def test_two_path_table_matches_dense_products():
+    rng = random.Random(29)
+    targets = [j3star_tree().graph, junction_tree(5).graph]
+    targets += [random_tree(rng, rng.randint(1, 15)) for _ in range(20)]
+    for H in targets:
+        A = dense_adjacency(H)
+        assert _two_path_table(H) == dense_product(A, A)
+        for _ in range(3):
+            mids = set(rng.sample(range(H.n), rng.randint(0, H.n)))
+            through = [[int(i == j and i in mids) for j in range(H.n)] for i in range(H.n)]
+            assert _two_path_table(H, mids) == dense_product(dense_product(A, through), A)
+
+
+def test_minimal_exponents_match_step_loops():
+    graphs = [path_graph(n) for n in (1, 2, 5, 9)]
+    graphs += [cycle_graph(5), complete_graph(4), star_graph(6)]
+    for G in graphs:
+        for q in range(3, 12):
+            assert minimal_potts_jq_s(G, q) == step_minimal_potts_jq_s(G, q)
+        for s in (1, 2, 7, 3 + len(G.edges) + 2 * G.n):
+            assert minimal_j3star_r(G, s) == step_minimal_j3star_r(G, s)
+    hypergraphs = [
+        Hypergraph(1, [(0,)]),
+        Hypergraph(3, [(0, 1, 2)]),
+        Hypergraph(4, [(0, 1), (1, 2, 3), (2, 3)]),
+        Hypergraph(5, [(0,), (1, 2), (2, 3, 4), (0, 4)]),
+    ]
+    # with q <= 2, gamma = 1 and 3 put some bounds on an exact power of the base
+    gammas = [Fraction(1, 100), Fraction(1, 10), Fraction(1, 2), 1, Fraction(3, 2), 2, 3]
+    for HG in hypergraphs:
+        t = max(len(f) for f in HG.hyperedges)
+        for q in (1, 2, 3):
+            for gamma in gammas:
+                want = step_minimal_uniformize_s(HG, q, gamma, t)
+                assert minimal_uniformize_s(HG, q, gamma, t) == want
+    HG, gamma = hypergraphs[2], Fraction(1, 1000)
+    assert minimal_uniformize_s(HG, 2, gamma, 3) == step_minimal_uniformize_s(HG, 2, gamma, 3)
+    # the largest cut instance the oracle admits (24 edges) at the default
+    # s = 3 + m + 2n, too large an r to step up to in a test
+    assert minimal_j3star_r(path_graph(25), 77) == 54634
+
+
+def test_least_exponent_at_exact_powers():
+    eps = Fraction(1, 10**9)
+    for base in (Fraction(3, 2), Fraction(23, 20), Fraction(1001, 1000), Fraction(11, 2), Fraction(2)):
+        for k in (1, 2, 3, 10, 57, 258):
+            power = base**k
+            assert _least_exponent(base, power) == k
+            assert _least_exponent(base, power - eps) == k
+            assert _least_exponent(base, power + eps) == k + 1
+    assert _least_exponent(Fraction(3, 2), Fraction(1, 2)) == 1
