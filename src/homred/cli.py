@@ -65,6 +65,7 @@ from .gadgets import (
     verify_certificate,
 )
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     classify_tree,
     j3star_tree,
@@ -143,12 +144,19 @@ def load_target(spec: str) -> Graph:
         return path_graph(4)
     if spec == "j3star":
         return j3star_tree().graph
-    for prefix, build in (("star:", star_graph), ("jq:", lambda q: junction_tree(q).graph)):
+    for prefix, build, vertices in (
+        ("star:", star_graph, lambda n: n + 1),
+        ("jq:", lambda q: junction_tree(q).graph, lambda q: 2 * q + 1),
+    ):
         if spec.startswith(prefix):
             try:
                 param = int(spec[len(prefix):])
             except ValueError:
                 raise HomredError(f"bad target parameter in {spec!r}") from None
+            if vertices(param) > MAX_VERTICES:
+                raise HomredError(
+                    f"target {spec!r} has {vertices(param)} vertices, above the limit of {MAX_VERTICES}"
+                )
             return build(param)
     if spec.startswith("file:"):
         return _load(parse_graph, spec[5:])

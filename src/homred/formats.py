@@ -28,7 +28,7 @@ from fractions import Fraction
 from .codes import LinearCode
 from .csp import CspInstance, WeightedCspInstance
 from .errors import FormatError, HomredError
-from .graphs import Graph, Hypergraph
+from .graphs import MAX_VERTICES, Graph, Hypergraph
 from .homcount import WeightTable
 
 
@@ -71,6 +71,11 @@ def _header(lines, keyword: str, nfields: int):
     return lineno, [_int(t, lineno) for t in toks[1:]]
 
 
+def _check_vertices(n: int, lineno: int):
+    if n > MAX_VERTICES:
+        raise FormatError(f"header announces {n} vertices, above the limit of {MAX_VERTICES}", lineno)
+
+
 def _no_more(lines):
     for lineno, toks in lines:
         raise FormatError(f"unexpected extra line starting with {toks[0]!r}", lineno)
@@ -78,9 +83,10 @@ def _no_more(lines):
 
 def parse_graph(text: str) -> Graph:
     lines = _lines(text)
-    _, (n, m) = _header(lines, "graph", 2)
+    header_line, (n, m) = _header(lines, "graph", 2)
     if n < 0 or m < 0:
         raise FormatError("graph header dimensions must be nonnegative", 1)
+    _check_vertices(n, header_line)
     edges = []
     seen = set()
     for _ in range(m):
@@ -106,9 +112,10 @@ def parse_graph(text: str) -> Graph:
 
 def parse_hypergraph(text: str) -> Hypergraph:
     lines = _lines(text)
-    _, (n, m) = _header(lines, "hypergraph", 2)
+    header_line, (n, m) = _header(lines, "hypergraph", 2)
     if n < 0 or m < 0:
         raise FormatError("hypergraph header dimensions must be nonnegative", 1)
+    _check_vertices(n, header_line)
     hyperedges = []
     for _ in range(m):
         try:

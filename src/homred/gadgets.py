@@ -436,15 +436,25 @@ def materialise_cut_to_whom(cut: CutInstance, H: Graph, s: int):
     return Graph(total, edges), WeightTable(total, H.n, rows)
 
 
-def _least_exponent(base: Fraction, rhs) -> int:
+def _least_exponent(base: Fraction, rhs, limit: int | None = None) -> int:
     """The smallest s >= 1 with base^s >= rhs, for base > 1 and rhs > 0: a
-    logarithm estimate, settled by exact comparisons."""
+    logarithm estimate, settled by exact comparisons.  With ``limit``,
+    returns ``limit + 1`` as soon as s is known to exceed ``limit``, so a
+    base very close to 1 costs no unbounded search."""
     base, rhs = Fraction(base), Fraction(rhs)
-    ln = lambda x: math.log(x.numerator) - math.log(x.denominator)
-    s = max(1, math.ceil(ln(rhs) / ln(base)))
+    # near 1, log(numerator) - log(denominator) cancels to 0.0; log1p does not
+    if base < 2:
+        ln_base = math.log1p(float(base - 1))
+    else:
+        ln_base = math.log(base.numerator) - math.log(base.denominator)
+    ln_rhs = math.log(rhs.numerator) - math.log(rhs.denominator)
+    estimate = ln_rhs / ln_base if ln_base else math.inf
+    if limit is not None and estimate > limit + 1:
+        return limit + 1
+    s = max(1, math.ceil(estimate))
     while s > 1 and base ** (s - 1) >= rhs:
         s -= 1
-    while base**s < rhs:
+    while base**s < rhs and (limit is None or s <= limit):
         s += 1
     return s
 
@@ -598,12 +608,29 @@ def build_jq_to_hyperpotts(B: Graph, q: int, side: str = "left"):
 
 
 def minimal_uniformize_s(HG: Hypergraph, q: int, gamma: Fraction, t: int) -> int:
-    """Smallest s with (1+gamma)^s >= 4 q^{n + m(t-1)} (1+gamma)^m."""
+    """Smallest s with (1+gamma)^s >= 4 q^{n + m(t-1)} (1+gamma)^m.
+
+    Refuses when that s would give a certificate value above
+    :data:`MAX_VALUE_BITS`, which ``verify`` would refuse to rebuild."""
     base = 1 + gamma
     if base <= 1:
         raise HomredError("uniformization needs gamma > 0")
     n, m = HG.n, len(HG.hyperedges)
-    return _least_exponent(base, 4 * Fraction(q) ** (n + m * (t - 1)) * base**m)
+    inputs = {"hypergraph": _hypergraph_to_obj(HG), "q": q, "gamma": gamma}
+    lo, hi = 0, MAX_VALUE_BITS  # the largest s whose certificate value fits
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _value_bits("uniformize", {**inputs, "s": mid}) <= MAX_VALUE_BITS:
+            lo = mid
+        else:
+            hi = mid - 1
+    s = _least_exponent(base, 4 * Fraction(q) ** (n + m * (t - 1)) * base**m, limit=lo)
+    if s > lo:
+        raise HomredError(
+            f"gamma = {gamma} needs an anchor multiplicity s above {lo}, "
+            f"whose certificate value would exceed {MAX_VALUE_BITS} bits"
+        )
+    return s
 
 
 def uniformize(HG: Hypergraph, q: int, gamma, s_override: int | None = None):

@@ -1,8 +1,9 @@
 """Simple undirected graphs, hypergraphs, and the named target trees.
 
 Vertices are dense 0-based integers.  A ``Graph`` is immutable after
-construction and eagerly carries its bipartition (or ``None`` when the
-graph is not bipartite), so downstream code never recomputes 2-colourings.
+construction and carries its bipartition (or ``None`` when the graph is
+not bipartite), computed on first read and kept, so downstream code
+never recomputes 2-colourings.
 Only the junction trees (:func:`junction_tree`, and the decorated
 :func:`j3star_tree` of the hardness construction) carry a label map from
 human names to vertex ids; gadget builders address their vertices
@@ -15,12 +16,35 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from operator import eq
 
 from .errors import HomredError
 
 STAR = "Star"
 BIS_EQUIVALENT = "BisEquivalent"
 CONTAINS_J3 = "ContainsJ3"
+
+# The most vertices an instance file or a target spec may announce: a
+# ``Graph`` allocates per vertex before reading any edge.
+MAX_VERTICES = 10**6
+
+
+_UNKNOWN = object()  # a bipartition not computed yet
+
+
+def _reject(n: int, edges):
+    """Raise for the first edge that is out of range, a self-loop or a
+    duplicate, in input order."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise HomredError(f"edge ({u},{v}) out of range for n={n}")
+        if u == v:
+            raise HomredError(f"self-loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise HomredError(f"duplicate edge ({e[0]},{e[1]})")
+        seen.add(e)
 
 
 class Graph:
@@ -32,32 +56,33 @@ class Graph:
     left side, so the partition is deterministic.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_edge_set", "bipartition")
+    __slots__ = ("n", "edges", "_adj", "_edge_set", "_bipartition")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise HomredError("vertex count must be nonnegative")
-        norm = []
-        seen = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise HomredError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise HomredError(f"self-loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise HomredError(f"duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
-            norm.append(e)
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)
+        norm = sorted({(u, v) if u < v else (v, u) for u, v in edges})
+        if norm:
+            lo, hi = zip(*norm)
+            if len(norm) != len(edges) or lo[0] < 0 or max(hi) >= n or any(map(eq, lo, hi)):
+                _reject(n, edges)
         self.n = n
-        self.edges = tuple(sorted(norm))
+        self.edges = tuple(norm)
         adj = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in norm:  # sorted edges leave every list sorted
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(sorted(a)) for a in adj)
-        self._edge_set = frozenset(self.edges)
-        self.bipartition = self._two_colour()
+        self._adj = tuple(map(tuple, adj))
+        self._edge_set = frozenset(norm)
+        self._bipartition = _UNKNOWN
+
+    @property
+    def bipartition(self):
+        if self._bipartition is _UNKNOWN:
+            self._bipartition = self._two_colour()
+        return self._bipartition
 
     def _two_colour(self):
         colour = [-1] * self.n

@@ -19,11 +19,20 @@ elimination core works on ints alone, and the result is a normalised
 sign.  The Potts sums and the minimum 3-terminal cuts are evaluated by
 the same core (see :mod:`homred.potts` and :mod:`homred.gadgets`).
 
-Evaluation runs in three phases: pendant absorption (fold degree-one
-vertices into their neighbour, which is where branch multiplicities are
-resolved), isolated-vertex factoring, and bucket elimination (Dechter,
-*Artificial Intelligence* 113, 1999) over the remaining core with a
-greedy minimum-degree order.
+Evaluation first lumps twin colours and then runs in three phases:
+pendant absorption (fold degree-one vertices into their neighbour,
+which is where branch multiplicities are resolved), isolated-vertex
+factoring, and bucket elimination (Dechter, *Artificial Intelligence*
+113, 1999) over the remaining core with a greedy minimum-degree order.
+
+Two colours are twins when they agree in every distinct weight row and
+in every row and every column of every distinct table.  Each class is
+merged into its smallest colour, weighted on every vertex by the class
+size, and the tables keep the representatives' rows and columns: the
+twin-free quotient with node weights (Lovasz, *Large Networks and Graph
+Limits*, 2012).  The test is exact equality on the given colours, with
+no refinement, so every sum is unchanged for entries of any sign.  The
+58-colour J3* lumps to 37 colours; J_q has no twins.
 
 Tables arrive as their nonzero entries per row: the default adjacency
 rows come from the target's neighbour lists, and a table given densely
@@ -44,16 +53,21 @@ variable fastest) to its value, holding only nonzero entries.  Before
 elimination each factor is scaled by the lcm of its denominators, so
 the joins multiply and add plain ints, and the product of those scales
 is divided out once at the end.  Eliminating a variable hash-joins the
-factors that hold it, smallest first: each join indexes the smaller
-table on the shared variables and streams the larger one through that
-index, and the last join sums the variable out as it goes, so no factor
-that still holds the variable outlives the step.  An empty factor means the whole sum
+factors that hold it: the one with the most variables that no other of
+them holds is joined last (the largest, on ties), so parallel paths of
+a series-parallel core meet before they widen, and the others are
+joined smallest first.  Each join indexes the smaller table on the
+shared variables and streams the larger one through that index,
+decoding each entry's key with one ``divmod`` when the factor has one
+or two variables, and the last join sums the variable out as it goes,
+so no factor that still holds the variable outlives the step.  An empty factor means the whole sum
 is zero; with signed entries a join may also produce explicit zero
 entries, which are kept and do no harm.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -163,22 +177,41 @@ def _strides(vars_, h: int) -> dict[int, int]:
     return {u: h ** (k - 1 - i) for i, u in enumerate(vars_)}
 
 
-def _entries(f: _Factor, h: int, key_stride: dict, out_stride: dict):
-    """Yield ``(key, out, value)`` per entry of ``f``: its colour digits
+def _decode(f: _Factor, h: int, key_stride: dict, out_stride: dict):
+    """Iterate ``(key, out, value)`` per entry of ``f``: its colour digits
     re-weighted by ``key_stride`` (the join key) and by ``out_stride``
-    (its share of the output index)."""
+    (its share of the output index).  One- and two-variable factors, all
+    but the widest intermediates, take at most one ``divmod`` per entry."""
+    items = f.table.items()
+    if len(f.vars) == 1:
+        (u,) = f.vars
+        ks, os_ = key_stride.get(u, 0), out_stride.get(u, 0)
+        return ((d * ks, d * os_, x) for d, x in items)
+    if len(f.vars) == 2:
+        a, b = f.vars
+        ka, kb = key_stride.get(a, 0), key_stride.get(b, 0)
+        oa, ob = out_stride.get(a, 0), out_stride.get(b, 0)
+        return (
+            (da * ka + db * kb, da * oa + db * ob, x)
+            for idx, x in items
+            for da, db in (divmod(idx, h),)
+        )
     plan = [
         (s, key_stride.get(u, 0), out_stride.get(u, 0))
         for u, s in _strides(f.vars, h).items()
         if u in key_stride or u in out_stride
     ]
-    for idx, x in f.table.items():
-        key = out = 0
-        for s, ks, os_ in plan:
-            d = idx // s % h
-            key += d * ks
-            out += d * os_
-        yield key, out, x
+
+    def wide():
+        for idx, x in items:
+            key = out = 0
+            for s, ks, os_ in plan:
+                d = idx // s % h
+                key += d * ks
+                out += d * os_
+            yield key, out, x
+
+    return wide()
 
 
 def _join(f: _Factor, g: _Factor, h: int, drop=None) -> _Factor:
@@ -193,11 +226,11 @@ def _join(f: _Factor, g: _Factor, h: int, drop=None) -> _Factor:
     small, big = (f, g) if len(f.table) <= len(g.table) else (g, f)
     private = {u: s for u, s in out_stride.items() if u not in key_stride}
     index: dict[int, list] = {}
-    for key, out, x in _entries(small, h, key_stride, private):
+    for key, out, x in _decode(small, h, key_stride, private):
         index.setdefault(key, []).append((out, x))
     acc: dict[int, int] = {}
     get = acc.get
-    for key, out, x in _entries(big, h, key_stride, out_stride):
+    for key, out, x in _decode(big, h, key_stride, out_stride):
         for o, y in index.get(key, ()):
             o += out
             acc[o] = get(o, 0) + x * y
@@ -205,12 +238,22 @@ def _join(f: _Factor, g: _Factor, h: int, drop=None) -> _Factor:
 
 
 def _eliminate(v: int, factors: list[_Factor], h: int) -> list[_Factor]:
-    """Join the factors touching ``v`` smallest-first, summing ``v`` out in
-    the last join.  Every core variable keeps its own weight factor until
-    it is eliminated, so at least two factors touch ``v``."""
+    """Join the factors touching ``v``, summing ``v`` out in the last join.
+
+    The factor joined last is the one with the most variables that no
+    other touching factor holds (the largest, on ties), so those
+    variables enter only as ``v`` leaves; the others are joined
+    smallest-first.  Every core variable keeps its own weight factor
+    until it is eliminated, so at least two factors touch ``v``."""
     touching = sorted((f for f in factors if v in f.vars), key=lambda f: len(f.table))
     rest = [f for f in factors if v not in f.vars]
-    acc, *middle, last = touching
+    held = Counter(u for f in touching for u in f.vars)
+    i = max(
+        range(len(touching)),
+        key=lambda i: (sum(held[u] == 1 for u in touching[i].vars), len(touching[i].table)),
+    )
+    last = touching.pop(i)
+    acc, *middle = touching
     for f in middle:
         acc = _join(acc, f, h)
     rest.append(_join(acc, last, h, drop=v))
@@ -254,6 +297,50 @@ def _scaled(nz: dict) -> tuple[dict[int, int], int]:
     multiplied by."""
     d = lcm(*(x.denominator for x in nz.values()))
     return {i: x.numerator * (d // x.denominator) for i, x in nz.items()}, d
+
+
+def _lump(h: int, weights, tables):
+    """Merge twin colours: ``(h', weights', tables')``, or ``None`` when
+    no two colours are twins.
+
+    Two colours are twins when they agree in every distinct weight row
+    and in every row and every column of every distinct table; then
+    every summand is unchanged by swapping them on any vertex.  Each
+    class keeps its smallest colour, weighted on every vertex by the
+    class size, and each table keeps the representatives' rows and
+    columns, renumbered.  The test is exact equality on the given
+    colours, so the sum is unchanged for entries of any sign, for branch
+    multiplicities (each replicated vertex carries the size factor) and
+    for isolated vertices.
+    """
+    tabs = list({id(T): T for T in tables.values()}.values())
+    sig = [()] * h
+    for T in tabs:
+        cols = [[] for _ in range(h)]
+        for i, row in enumerate(T):
+            for j, x in row:
+                cols[j].append((i, x))
+        sig = [s + (tuple(r), tuple(c)) for s, r, c in zip(sig, T, cols)]
+    if len(set(sig)) == h:
+        return None
+    rows = {tuple(w) for w in weights}
+    classes: dict[tuple, list[int]] = {}
+    for c, key in enumerate(zip(sig, *rows)):
+        classes.setdefault(key, []).append(c)
+    if len(classes) == h:
+        return None
+    reps = [cls[0] for cls in classes.values()]
+    sizes = [len(cls) for cls in classes.values()]
+    new = {r: a for a, r in enumerate(reps)}
+    lumped_rows = {w: [k * w[r] for k, r in zip(sizes, reps)] for w in rows}
+    lumped_tabs = {
+        id(T): [[(new[j], x) for j, x in T[r] if j in new] for r in reps] for T in tabs
+    }
+    return (
+        len(reps),
+        [list(lumped_rows[tuple(w)]) for w in weights],
+        {e: lumped_tabs[id(T)] for e, T in tables.items()},
+    )
 
 
 def count_ewhom(inst: EdgeWeightedInstance) -> Fraction:
@@ -302,8 +389,12 @@ def sum_product(G: Graph, h: int, weights, tables, vertex_mult=None) -> Fraction
     sign: the core only multiplies and adds.  Both ``weights`` and
     ``tables`` are used up: pendant absorption folds branches into the
     weight lists in place and removes the absorbed edges' tables.
+    Twin colours are lumped first (see :func:`_lump`).
     """
     vertex_mult = vertex_mult or {}
+    lumped = _lump(h, weights, tables)
+    if lumped is not None:
+        h, weights, tables = lumped
 
     def vmult(v: int) -> int:
         return vertex_mult.get(v, 1)

@@ -407,6 +407,31 @@ def test_graph_header_with_5000_digits(tmp_path, capsys):
     assert err.count("\n") == 1 and "line 1: expected integer" in err
 
 
+def test_graph_header_above_the_vertex_bound(tmp_path, capsys):
+    g = put(tmp_path, "big.graph", "graph 1000000000 0\n")
+    code, out, err = run(capsys, "hom", g, "--target", "j3star")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "1000000000 vertices, above the limit" in err
+
+
+@pytest.mark.parametrize("spec", ["star:100000000", "jq:500000"])
+def test_target_spec_above_the_vertex_bound(tmp_path, capsys, spec):
+    g = put(tmp_path, "p3.graph", P3)
+    code, out, err = run(capsys, "hom", g, "--target", spec)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "above the limit of 1000000" in err
+
+
+@pytest.mark.parametrize("gamma", ["1/100000000000000000000", "1/1000000000"])
+def test_reduce_uniformize_refuses_a_gamma_too_close_to_zero(tmp_path, capsys, gamma):
+    hg = put(tmp_path, "h.hg", HYPER)
+    prefix = str(tmp_path / "p")
+    code, out, err = run(capsys, "reduce", "uniformize", "-q", "2", "--gamma", gamma, "--out", prefix, hg)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "would exceed 2097152 bits" in err
+    assert not (tmp_path / "p.cert.json").exists()
+
+
 def test_verify_certificate_missing_input(tmp_path, capsys):
     err = _hostile_certificate(tmp_path, capsys, lambda c: c["inputs"].pop("s"))
     assert "inputs.s is missing" in err

@@ -48,6 +48,14 @@ def test_graph_parse_errors_carry_line_numbers():
     assert "out of range" in str(exc.value) and exc.value.line == 2
 
 
+def test_headers_above_the_vertex_bound():
+    with pytest.raises(FormatError, match="header announces 1000000000 vertices"):
+        parse_graph("graph 1000000000 0\n")
+    with pytest.raises(FormatError, match="header announces 1000001 vertices"):
+        parse_hypergraph("# comment\nhypergraph 1000001 0\n")
+    assert parse_hypergraph("hypergraph 1000000 0\n").n == 10**6
+
+
 def test_hypergraph_round_trip():
     hg = Hypergraph(4, [(0, 1, 2), (0, 1, 2), (2, 3)])
     assert parse_hypergraph(format_hypergraph(hg)) == hg

@@ -659,3 +659,13 @@ def test_least_exponent_at_exact_powers():
             assert _least_exponent(base, power - eps) == k
             assert _least_exponent(base, power + eps) == k + 1
     assert _least_exponent(Fraction(3, 2), Fraction(1, 2)) == 1
+
+
+def test_least_exponent_near_one_and_with_a_limit():
+    # ln(1 + 1/10^20) is 0.0 as log(numerator) - log(denominator)
+    base = 1 + Fraction(1, 10**20)
+    assert _least_exponent(base, base**3) == 3
+    assert _least_exponent(base, base**3, limit=5) == 3
+    assert _least_exponent(base, 4, limit=10**6) == 10**6 + 1
+    assert _least_exponent(Fraction(3, 2), Fraction(3, 2) ** 40, limit=39) == 40
+    assert _least_exponent(1 + Fraction(1, 10**400), 2, limit=7) == 8

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -43,6 +44,30 @@ def test_edge_normalisation_and_rejection():
         Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(HomredError):
         Graph(-1, [])
+
+
+def test_first_offending_edge_names_the_error():
+    # the first bad edge in input order decides the message, as the input
+    # is re-walked only after the one-pass check fails
+    cases = [
+        ([(0, 1), (1, 0), (5, 6)], "duplicate edge (0,1)"),
+        ([(0, 1), (5, 6), (1, 0)], "edge (5,6) out of range for n=3"),
+        ([(2, 2), (-1, 0)], "self-loop at vertex 2"),
+        ([(0, 1), (-1, 0)], "edge (-1,0) out of range for n=3"),
+    ]
+    for edges, message in cases:
+        with pytest.raises(HomredError, match=re.escape(message)):
+            Graph(3, iter(edges))
+
+
+def test_adjacency_sorted_from_any_edge_order():
+    rng = random.Random(5)
+    edges = [(u, v) for u in range(9) for v in range(u + 1, 9) if rng.random() < 0.5]
+    shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in rng.sample(edges, len(edges))]
+    g = Graph(9, (e for e in shuffled))
+    assert g.edges == tuple(edges)
+    for v in range(9):
+        assert list(g.neighbours(v)) == sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v})
 
 
 def test_degrees_and_neighbours():

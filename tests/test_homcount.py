@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from homred.homcount import (
     WALK_TABLE_ROWS,
     WeightTable,
     WalkProfile,
+    _lump,
     complete_bipartite_whom,
     count_ewhom,
     count_hom,
@@ -28,6 +30,7 @@ from homred.homcount import (
     count_whom,
     format_walk_table,
     j3star_walk_table,
+    sum_product,
     walk_profile,
 )
 from oracles import (
@@ -573,3 +576,190 @@ def test_walk_maxima_unique_at_orbit_level():
 
 def test_walk_table_formatting_matches_golden():
     assert format_walk_table(j3star_walk_table()) == GOLDEN.read_text()
+
+
+# ---------------------------------------------------------------------------
+# twin lumping and the core's decoding paths
+
+
+def _wheel(k):
+    return Graph(k + 1, _cycle_edges(k, 1) + [(0, v) for v in range(1, k + 1)])
+
+
+@st.composite
+def twin_target(draw, max_h):
+    """A random base graph on 2 or 3 colours with each colour copied into a
+    class of false twins, the copies shuffled; ``max_h`` colours at most.
+    Returns ``(H, cls)`` with ``cls[c]`` the base colour of colour ``c``."""
+    base = draw(st.integers(2, min(3, max_h - 1)))
+    sizes = [1] * base
+    for _ in range(draw(st.integers(1, max_h - base))):
+        sizes[draw(st.integers(0, base - 1))] += 1
+    order = [b for b, k in enumerate(sizes) for _ in range(k)]
+    cls = [order[i] for i in draw(st.permutations(range(len(order))))]
+    B = {(a, b) for a in range(base) for b in range(a + 1, base) if draw(st.booleans())}
+    h = len(cls)
+    edges = [(x, y) for x in range(h) for y in range(x + 1, h)
+             if (min(cls[x], cls[y]), max(cls[x], cls[y])) in B]
+    return Graph(h, edges), cls
+
+
+# How an instance treats the twin classes: it keeps them all ("none"), or
+# its tables agree on twin rows but not on twin columns ("rows"), or the
+# other way round ("cols"), or some weight rows split them ("weights"),
+# or its tables and some weight rows are random ("random").
+SPLITS = st.sampled_from(["none", "rows", "cols", "weights", "random"])
+
+
+def _twin_table(draw, cls, entries, split):
+    """An h x h table whose entries depend on the colours' classes as
+    ``split`` says."""
+    h = len(cls)
+    V = [[draw(entries) for _ in range(h)] for _ in range(h)]
+    pick = {
+        "rows": lambda a, b: V[cls[a]][b],
+        "cols": lambda a, b: V[a][cls[b]],
+        "random": lambda a, b: V[a][b],
+    }.get(split, lambda a, b: V[cls[a]][cls[b]])
+    return [[pick(a, b) for b in range(h)] for a in range(h)]
+
+
+def _twin_row(draw, cls, entries, split):
+    """A weight row equal on every twin class, or, when ``split`` allows,
+    possibly a random one."""
+    if split in ("weights", "random") and draw(st.booleans()):
+        return tuple(draw(entries) for _ in cls)
+    W = [draw(entries) for _ in range(max(cls) + 1)]
+    return tuple(W[c] for c in cls)
+
+
+TWIN_CORES = [path_graph(2), cycle_graph(3), cycle_graph(4), Graph(4, _cycle_edges(4) + [(0, 2)])]
+
+
+@st.composite
+def twin_cases(draw):
+    """A core with an optional pendant leaf and an optional isolated vertex,
+    each carrying vertex multiplicity 1 or 2, into a target with planted
+    twin classes; tables are shared between edges, and weight rows and
+    tables either keep the classes or split them.
+
+    Returns the folded instance and the materialised graph (each
+    multiplied vertex copied) with the data ``naive_ewhom`` reads."""
+    core = draw(st.sampled_from(TWIN_CORES))
+    k = core.n
+    parts = [draw(st.integers(0, 2)), draw(st.integers(0, 2))]  # copies of the leaf, of the isolated vertex
+    while 3 ** (k + sum(parts)) > MAX_ASSIGNMENTS:
+        parts[parts.index(max(parts))] -= 1
+    n_mat = k + sum(parts)
+    max_h = max(h for h in range(3, 6) if h**n_mat <= MAX_ASSIGNMENTS)
+    H, cls = draw(twin_target(max_h))
+
+    perm = draw(st.permutations(range(k)))
+    edges = [(perm[u], perm[v]) for u, v in core.edges]
+    leaf = k if parts[0] else None
+    iso = k + (leaf is not None) if parts[1] else None
+    anchor = draw(st.integers(0, k - 1))
+    if leaf is not None:
+        edges.append((anchor, leaf))
+    G = Graph(k + sum(1 for p in parts if p), edges)
+
+    split = draw(SPLITS)
+    pool = [_twin_table(draw, cls, ENTRIES, split) for _ in range(draw(st.integers(1, 2)))]
+    tables = {e: draw(st.sampled_from(pool)) for e in G.edges if draw(st.booleans())}
+    emult = {e: draw(st.integers(2, 3)) for e in G.edges if draw(st.booleans())}
+    weights = {v: _twin_row(draw, cls, ENTRIES, split) for v in range(G.n) if draw(st.booleans())}
+    vmult = {v: p for v, p in ((leaf, parts[0]), (iso, parts[1])) if v is not None}
+    folded = EdgeWeightedInstance(
+        G, H, vertex_weights=weights, edge_tables=tables, edge_mult=emult, vertex_mult=vmult
+    )
+
+    mat_edges = [e for e in G.edges if e[1] < k]
+    mat_tables = {e: T for e, T in tables.items() if e[1] < k}
+    mat_mult = {e: m for e, m in emult.items() if e[1] < k}
+    mat_weights = {v: r for v, r in weights.items() if v < k}
+    nxt = k
+    for v, copies in vmult.items():
+        for _ in range(copies):
+            if v == leaf:
+                e, f = (anchor, leaf), (anchor, nxt)
+                mat_edges.append(f)
+                if e in tables:
+                    mat_tables[f] = tables[e]
+                if e in emult:
+                    mat_mult[f] = emult[e]
+            if v in weights:
+                mat_weights[nxt] = weights[v]
+            nxt += 1
+    materialised = (Graph(n_mat, mat_edges), H, mat_weights, mat_tables, mat_mult)
+    return folded, materialised
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_cases())
+def test_count_ewhom_matches_naive_on_twin_targets(case):
+    folded, (G, H, weights, tables, mult) = case
+    got = count_ewhom(folded)
+    assert type(got) is Fraction
+    assert got == naive_ewhom(G, H, vertex_weights=weights, edge_tables=tables, edge_mult=mult)
+
+
+SIGNED = st.sampled_from([-2, -1, 0, 1, 1, 2, Fraction(-1, 2), Fraction(3, 2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sum_product_signed_entries_on_twin_targets(data):
+    """Signed tables and weights through the core, against the plain sum."""
+    draw = data.draw
+    G = draw(st.sampled_from([path_graph(3), cycle_graph(3), complete_graph(4), _wheel(4)]))
+    _, cls = draw(twin_target(max(h for h in range(3, 6) if h**G.n <= MAX_ASSIGNMENTS)))
+    h = len(cls)
+    split = draw(SPLITS)
+    pool = [_twin_table(draw, cls, SIGNED, split) for _ in range(draw(st.integers(1, 2)))]
+    dense = {e: draw(st.sampled_from(pool)) for e in G.edges}
+    rows = [_twin_row(draw, cls, SIGNED, split) for _ in range(G.n)]
+    expected = 0
+    for a in product(range(h), repeat=G.n):
+        term = 1
+        for v in range(G.n):
+            term *= rows[v][a[v]]
+        for (u, v), T in dense.items():
+            term *= T[a[u]][a[v]]
+        expected += term
+    sparse = {id(T): [[(j, x) for j, x in enumerate(r) if x] for r in T] for T in pool}
+    tables = {e: sparse[id(T)] for e, T in dense.items()}
+    assert sum_product(G, h, [list(r) for r in rows], tables) == expected
+
+
+WIDE_CORES = [complete_graph(4), complete_graph(5), _wheel(4), _wheel(5),
+              Graph(5, [e for e in complete_graph(5).edges if e != (0, 1)])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_count_ewhom_matches_naive_on_width_3_and_4_cores(data):
+    """Cores whose elimination builds three- and four-variable factors."""
+    draw = data.draw
+    core = draw(st.sampled_from(WIDE_CORES))
+    perm = draw(st.permutations(range(core.n)))
+    G = Graph(core.n, [(perm[u], perm[v]) for u, v in core.edges])
+    h = draw(st.sampled_from([h for h in (3, 4) if h**G.n <= MAX_ASSIGNMENTS]))
+    H = Graph(h, [(a, b) for a in range(h) for b in range(a + 1, h) if draw(st.booleans())])
+    pool = [[[draw(ENTRIES) for _ in range(h)] for _ in range(h)] for _ in range(2)]
+    tables = {e: draw(st.sampled_from(pool)) for e in G.edges if draw(st.booleans())}
+    weights = {v: tuple(draw(ENTRIES) for _ in range(h)) for v in range(G.n) if draw(st.booleans())}
+    inst = EdgeWeightedInstance(G, H, vertex_weights=weights, edge_tables=tables)
+    assert count_ewhom(inst) == naive_ewhom(G, H, vertex_weights=weights, edge_tables=tables)
+
+
+def test_j3star_lumps_to_37_colours():
+    H = j3star_tree().graph
+    adjacency = [[(j, 1) for j in H.neighbours(i)] for i in range(H.n)]
+    h, weights, tables = _lump(H.n, [[1] * H.n], {(0, 1): adjacency})
+    # 23 single colours, nine leaf pairs under z3, four leaf triples under
+    # y2, and the five leaves under x1
+    assert h == 37
+    assert sorted(weights[0]) == [1] * 23 + [2] * 9 + [3] * 4 + [5]
+    J5 = junction_tree(5).graph
+    adjacency = [[(j, 1) for j in J5.neighbours(i)] for i in range(J5.n)]
+    assert _lump(J5.n, [[1] * J5.n], {(0, 1): adjacency}) is None
