@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .codes import verify_potts_we, weight_enumerator
-from .convex import ConvexOrder, convex_order, reduce_whom_side
+from .convex import ConvexOrder, convex_order, reduce_whom_sides
 from .csp import (
     CspInstance,
     WeightedCspInstance,
@@ -378,16 +378,9 @@ def _layout_obj(layout: dict) -> list:
 def cmd_reduce_whom_to_csp(args):
     g = _load(parse_graph, args.graph)
     H = load_target(args.target)
-    if not g.is_connected() or g.n < 1:
-        raise HomredError("whom-to-csp emission expects a connected source graph")
-    if g.bipartition is None:
-        raise HomredError("source graph must be bipartite")
     wt = _load(parse_weights, args.weights) if args.weights else WeightTable(g.n, H.n)
     order = convex_order(H)
-    left = tuple(sorted(g.bipartition[0]))
-    right = tuple(sorted(g.bipartition[1]))
-    own = reduce_whom_side(g, left, right, order, wt)
-    swap = reduce_whom_side(g, left, right, order.swapped(), wt)
+    own, swap = reduce_whom_sides(g, order, wt)
     value = count_wcsp(own.instance) + count_wcsp(swap.instance)
 
     with int_str_digits(0):  # a level ratio can be twice as long as the weights
@@ -395,8 +388,8 @@ def cmd_reduce_whom_to_csp(args):
         swap_file = _write(args.out + ".swap.csp", format_csp(swap.instance))
     sidecar = {
         "order": _order_obj(order),
-        "left": list(left),
-        "right": list(right),
+        "left": list(own.left),
+        "right": list(own.right),
         "own": {"file": own_file, "layout": _layout_obj(own.layout)},
         "swap": {"file": swap_file, "layout": _layout_obj(swap.layout)},
         "value": _fmt(value),

@@ -26,6 +26,16 @@ from .graphs import Graph
 from .potts import check_enumeration, potts_graph
 
 
+MAX_FIELD_ORDER = 10**12  # is_prime takes up to sqrt(p) = 10^6 trial divisions here
+
+
+def _check_field_order(p: int):
+    if p > MAX_FIELD_ORDER:
+        raise HomredError(f"field order {p} is above the limit of {MAX_FIELD_ORDER}")
+    if not is_prime(p):
+        raise HomredError(f"field order {p} is not prime")
+
+
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -46,8 +56,7 @@ class LinearCode:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise HomredError(f"field order {self.p} is not prime")
+        _check_field_order(self.p)
         if self.ncols < 0:
             raise HomredError("code length must be nonnegative")
         for row in self.rows:
@@ -160,8 +169,7 @@ def build_potts_code(G: Graph, p: int, k: int) -> PottsCodeSystem:
     alpha in F_p^k, carrying +alpha_i on v's block and -alpha_i on u's.
     The code is the column span, presented through a row-reduced basis.
     """
-    if not is_prime(p):
-        raise HomredError(f"field order {p} is not prime")
+    _check_field_order(p)
     if k < 1:
         raise HomredError("need k >= 1 coordinates per vertex")
     if G.n < 1 or not G.is_connected():

@@ -55,12 +55,6 @@ class ConvexOrder:
     def hp(self) -> int:
         return len(self.Up)
 
-    def u_at(self, i: int) -> int:
-        return {pos: v for v, pos in self.pi.items()}[i]
-
-    def up_at(self, i: int) -> int:
-        return {pos: v for v, pos in self.pip.items()}[i]
-
     def swapped(self) -> "ConvexOrder":
         return ConvexOrder(self.Up, self.U, self.pip, self.pi, self.mp, self.Mp, self.m, self.M)
 
@@ -284,6 +278,18 @@ def reduce_whom_side(G: Graph, left, right, order: ConvexOrder, wt: WeightTable)
     return WhomCspReduction(inst, layout, left, right, order)
 
 
+def reduce_whom_sides(G: Graph, order: ConvexOrder, wt: WeightTable):
+    """The own-side and swapped-side :func:`reduce_whom_side` of a
+    connected bipartite source, its sides taken from ``G.bipartition``:
+    its weighted homomorphism count is the sum of their two counts."""
+    if not G.is_connected() or G.n < 1:
+        raise HomredError("whom-to-csp emission expects a connected source graph")
+    if G.bipartition is None:
+        raise HomredError("source graph must be bipartite")
+    left, right = G.bipartition
+    return tuple(reduce_whom_side(G, left, right, o, wt) for o in (order, order.swapped()))
+
+
 def whom_via_csp(G: Graph, H: Graph, wt: WeightTable | None = None) -> Fraction:
     """Weighted homomorphism count through the CSP reduction.
 
@@ -300,17 +306,13 @@ def whom_via_csp(G: Graph, H: Graph, wt: WeightTable | None = None) -> Fraction:
 
     if G.bipartition is None:
         return Fraction(0)
-    left = G.bipartition[0]
 
     total = Fraction(1)
     for comp in components(G):
         sub, remap = G.subgraph(comp)
         wt_sub = WeightTable(sub.n, H.n, {remap[v]: wt.row(v) for v in comp})
-        s = tuple(sorted(remap[v] for v in comp if v in left))
-        sp = tuple(sorted(remap[v] for v in comp if v not in left))
-        z_own = count_wcsp(reduce_whom_side(sub, s, sp, order, wt_sub).instance)
-        z_swap = count_wcsp(reduce_whom_side(sub, s, sp, order.swapped(), wt_sub).instance)
-        total *= z_own + z_swap
+        own, swap = reduce_whom_sides(sub, order, wt_sub)
+        total *= count_wcsp(own.instance) + count_wcsp(swap.instance)
         if not total:
             return Fraction(0)
     return total

@@ -71,9 +71,9 @@ def _header(lines, keyword: str, nfields: int):
     return lineno, [_int(t, lineno) for t in toks[1:]]
 
 
-def _check_vertices(n: int, lineno: int):
+def _check_vertices(n: int, lineno: int, what: str = "vertices"):
     if n > MAX_VERTICES:
-        raise FormatError(f"header announces {n} vertices, above the limit of {MAX_VERTICES}", lineno)
+        raise FormatError(f"header announces {n} {what}, above the limit of {MAX_VERTICES}", lineno)
 
 
 def _no_more(lines):
@@ -163,9 +163,10 @@ def parse_weights(text: str) -> WeightTable:
 def parse_csp(text: str) -> CspInstance | WeightedCspInstance:
     """Parse a csp file; returns a weighted instance iff any ``wt`` line appears."""
     lines = _lines(text)
-    _, (nvars, nc) = _header(lines, "csp", 2)
+    header_line, (nvars, nc) = _header(lines, "csp", 2)
     if nvars < 0 or nc < 0:
         raise FormatError("csp header dimensions must be nonnegative", 1)
+    _check_vertices(nvars, header_line, "variables")
 
     def var(tok: str, lineno: int) -> int:
         x = _int(tok, lineno, "variable")
@@ -264,10 +265,4 @@ def format_csp(inst: CspInstance | WeightedCspInstance) -> str:
     if isinstance(inst, WeightedCspInstance):
         for x, (g0, g1) in enumerate(inst.weights):
             out.append(f"wt {x} {g0} {g1}")
-    return "\n".join(out) + "\n"
-
-
-def format_code(code: LinearCode) -> str:
-    out = [f"code {code.p} {len(code.rows)} {code.ncols}"]
-    out += [" ".join(map(str, row)) for row in code.rows]
     return "\n".join(out) + "\n"

@@ -60,7 +60,6 @@ from .potts import (
     histogram_sum,
     hypergraph_mono_histogram,
     potts_hypergraph,
-    potts_mono_histogram,
 )
 
 
@@ -189,9 +188,6 @@ class ReductionCertificate:
     constants: dict
     slack: Fraction
     counters: dict = field(default_factory=dict)
-
-    def value(self) -> Fraction:
-        return certificate_value(self)
 
     def to_json(self) -> str:
         payload = {
@@ -929,7 +925,8 @@ def certificate_oracle(cert: ReductionCertificate) -> Fraction:
         _, ncuts = multiterminal_cuts_oracle(G, tuple(inp["terminals"]))
         return Fraction(ncuts)
     if kind == "potts-to-jq":
-        return histogram_sum(potts_mono_histogram(_graph_from_obj(inp["graph"]), inp["q"]), 1)
+        G = _graph_from_obj(inp["graph"])
+        return histogram_sum(hypergraph_mono_histogram(Hypergraph(G.n, G.edges), inp["q"]), 1)
     if kind == "jq-to-hyperpotts":
         built, _ = _rebuild(cert)
         return histogram_sum(hypergraph_mono_histogram(built.hypergraph, inp["q"]), 1)

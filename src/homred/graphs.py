@@ -56,7 +56,7 @@ class Graph:
     left side, so the partition is deterministic.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_edge_set", "_bipartition")
+    __slots__ = ("n", "edges", "_adj", "_bipartition")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -75,7 +75,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(map(tuple, adj))
-        self._edge_set = frozenset(norm)
         self._bipartition = _UNKNOWN
 
     @property
@@ -110,7 +109,7 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._edge_set
+        return 0 <= u < self.n and v in self._adj[u]
 
     def __eq__(self, other):
         return (

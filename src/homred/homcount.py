@@ -299,9 +299,9 @@ def _scaled(nz: dict) -> tuple[dict[int, int], int]:
     return {i: x.numerator * (d // x.denominator) for i, x in nz.items()}, d
 
 
-def _lump(h: int, weights, tables):
+def _lump(h: int, weights, tables, sparse_of):
     """Merge twin colours: ``(h', weights', tables')``, or ``None`` when
-    no two colours are twins.
+    no two colours are twins.  ``sparse_of`` gives a table's :class:`_SparseTable`.
 
     Two colours are twins when they agree in every distinct weight row
     and in every row and every column of every distinct table; then
@@ -316,11 +316,7 @@ def _lump(h: int, weights, tables):
     tabs = list({id(T): T for T in tables.values()}.values())
     sig = [()] * h
     for T in tabs:
-        cols = [[] for _ in range(h)]
-        for i, row in enumerate(T):
-            for j, x in row:
-                cols[j].append((i, x))
-        sig = [s + (tuple(r), tuple(c)) for s, r, c in zip(sig, T, cols)]
+        sig = [s + (tuple(r), tuple(c)) for s, r, c in zip(sig, T, sparse_of(T).cols())]
     if len(set(sig)) == h:
         return None
     rows = {tuple(w) for w in weights}
@@ -392,7 +388,16 @@ def sum_product(G: Graph, h: int, weights, tables, vertex_mult=None) -> Fraction
     Twin colours are lumped first (see :func:`_lump`).
     """
     vertex_mult = vertex_mult or {}
-    lumped = _lump(h, weights, tables)
+    sparse: dict[int, _SparseTable] = {}
+
+    def sparse_of(T) -> _SparseTable:
+        got = sparse.get(id(T))
+        if got is None:
+            got = sparse[id(T)] = _SparseTable(T)
+        return got
+
+    # the transposes lumping reads are reused by absorption when nothing lumps
+    lumped = _lump(h, weights, tables, sparse_of)
     if lumped is not None:
         h, weights, tables = lumped
 
@@ -401,13 +406,6 @@ def sum_product(G: Graph, h: int, weights, tables, vertex_mult=None) -> Fraction
 
     active = set(range(G.n))
     nbrs = {v: set(G.neighbours(v)) for v in range(G.n)}
-    sparse: dict[int, _SparseTable] = {}
-
-    def sparse_of(T) -> _SparseTable:
-        got = sparse.get(id(T))
-        if got is None:
-            got = sparse[id(T)] = _SparseTable(T)
-        return got
 
     # Phase 1: absorb pendant vertices in the order of the key
     # (vmult(v) == 1, v).  Multiplicity-bearing pendants fold first (their
@@ -505,22 +503,6 @@ def count_whom(G: Graph, H: Graph, wt: WeightTable) -> Fraction:
         raise HomredError("weight table dimensions do not match the instance")
     vw = {v: wt.rows[v] for v in wt.rows}
     return count_ewhom(EdgeWeightedInstance(G, H, vertex_weights=vw))
-
-
-def count_hom_pinned(G: Graph, H: Graph, pins: dict[int, int]) -> int:
-    """Homomorphism count with selected source vertices pinned to colours."""
-    vw = {}
-    for v, c in pins.items():
-        if not 0 <= v < G.n:
-            raise HomredError(f"pin on out-of-range vertex {v}")
-        if not 0 <= c < H.n:
-            raise HomredError(f"pin to out-of-range colour {c}")
-        row = [Fraction(0)] * H.n
-        row[c] = Fraction(1)
-        vw[v] = tuple(row)
-    z = count_ewhom(EdgeWeightedInstance(G, H, vertex_weights=vw))
-    assert z.denominator == 1
-    return int(z)
 
 
 def complete_bipartite_whom(G: Graph, H: Graph, wt: WeightTable) -> Fraction:

@@ -14,12 +14,13 @@ is exponential only in the width of the incidence graph.
 edges.  Negative entries (gamma < 0) are fine: the core is exact and
 sign-agnostic.
 
-The enumerators stay as the oracles: :func:`potts_mono_histogram` for
-graphs and :func:`hypergraph_mono_histogram` for hypergraphs iterate
-over all q^n spin assignments and histogram the number of monochromatic
-(hyper)edges; :func:`histogram_sum` evaluates such a histogram at a
+The enumerator stays as the oracle: :func:`hypergraph_mono_histogram`
+iterates over all q^n spin assignments and histograms the number of
+monochromatic hyperedges, for graphs too (a graph is a 2-uniform
+hypergraph); :func:`histogram_sum` evaluates such a histogram at a
 gamma, and :func:`random_cluster_graph` is the subset expansion.
-Certificate verification takes its ground truth from them.
+Certificate verification takes its ground truth from them, and shares
+no code with the elimination core.
 
 Every sum refuses instances with q^n (or 2^m for the random-cluster
 sum) beyond a cap of 10^8, and the elimination path keeps the same
@@ -35,7 +36,6 @@ from __future__ import annotations
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import product
 from typing import NamedTuple
 
 from .errors import HomredError
@@ -62,20 +62,6 @@ def _check_potts_size(n: int, q: int):
     check_enumeration(q**n, f"Potts sum on {n} vertices with q={q}")
 
 
-def potts_mono_histogram(G: Graph, q: int) -> dict[int, int]:
-    """How many spin assignments have exactly k monochromatic edges, per k."""
-    _check_potts_size(G.n, q)
-    hist: Counter[int] = Counter()
-    edges = G.edges
-    for sigma in product(range(q), repeat=G.n):
-        mono = 0
-        for u, v in edges:
-            if sigma[u] == sigma[v]:
-                mono += 1
-        hist[mono] += 1
-    return dict(hist)
-
-
 def histogram_sum(hist: dict[int, int], gamma) -> Fraction:
     """sum_k hist[k] * (1+gamma)^k: the Potts sum of a histogram of
     monochromatic (hyper)edge counts."""
@@ -89,22 +75,52 @@ def potts_graph(G: Graph, q: int, gamma) -> Fraction:
 
 
 def hypergraph_mono_histogram(HG: Hypergraph, q: int) -> dict[int, int]:
-    """Histogram of the multiplicity-weighted count of monochromatic hyperedges.
+    """How many spin assignments have exactly k monochromatic hyperedges,
+    per k; a hyperedge of multiplicity m counts m times.
 
-    Duplicate hyperedges act as independent factors, so a hyperedge with
-    multiplicity m contributes m to the exponent when monochromatic.
+    A graph is the 2-uniform case, ``Hypergraph(G.n, G.edges)``.  The
+    vertices are coloured in order, odometer-style, and each distinct
+    hyperedge is scored when its highest vertex takes its colour: the
+    last vertex's q colours at once.
     """
     _check_potts_size(HG.n, q)
+    n = HG.n
+    if n == 0:
+        return {0: 1}
     grouped = Counter(HG.hyperedges)
-    hist: Counter[int] = Counter()
-    for sigma in product(range(q), repeat=HG.n):
-        k = 0
-        for f, mult in grouped.items():
-            first = sigma[f[0]]
-            if all(sigma[v] == first for v in f[1:]):
-                k += mult
-        hist[k] += 1
-    return dict(hist)
+    ending = [[] for _ in range(n)]  # (first, middle members, multiplicity) by top member
+    for f, mult in grouped.items():
+        if len(f) > 1:
+            ending[f[-1]].append((f[0], f[1:-1], mult))
+    hist = [0] * (sum(grouped.values()) + 1)
+    sigma, gain = [0] * n, [None] * n
+    # score[v]: the count over hyperedges ending below v; one-vertex ones always count
+    score = [sum(mult for f, mult in grouped.items() if len(f) == 1)] * n
+    v = 0
+    while v >= 0:
+        g = [0] * q  # what each colour of v adds, given sigma[:v]
+        for first, middle, mult in ending[v]:
+            c = sigma[first]
+            for u in middle:
+                if sigma[u] != c:
+                    break
+            else:
+                g[c] += mult
+        if v < n - 1:  # colour v with 0 and go on
+            gain[v], sigma[v] = g, 0
+            score[v + 1] = score[v] + g[0]
+            v += 1
+            continue
+        for k in g:
+            hist[score[v] + k] += 1
+        v -= 1  # advance the odometer
+        while v >= 0 and sigma[v] == q - 1:
+            v -= 1
+        if v >= 0:
+            sigma[v] += 1
+            score[v + 1] = score[v] + gain[v][sigma[v]]
+            v += 1
+    return {k: cnt for k, cnt in enumerate(hist) if cnt}
 
 
 def potts_hypergraph(HG: Hypergraph, q: int, gamma) -> Fraction:

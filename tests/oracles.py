@@ -124,6 +124,16 @@ def step_minimal_j3star_r(G: Graph, s: int) -> int:
     return r
 
 
+def naive_mono_histogram(HG, q: int) -> dict[int, int]:
+    """Spin assignments per number of monochromatic hyperedges, each copy
+    of a repeated hyperedge counted."""
+    hist: dict[int, int] = {}
+    for sigma in product(range(q), repeat=HG.n):
+        k = sum(len({sigma[v] for v in f}) == 1 for f in HG.hyperedges)
+        hist[k] = hist.get(k, 0) + 1
+    return hist
+
+
 def naive_csp(nvars, imps, pins0=(), pins1=(), weights=None):
     """Count (or weigh) assignments of a binary implication CSP."""
     total = Fraction(0)

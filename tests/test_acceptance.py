@@ -52,9 +52,9 @@ from homred.homcount import (
 )
 from homred.potts import (
     count_proper_colourings,
+    hypergraph_mono_histogram,
     potts_graph,
     potts_hypergraph,
-    potts_mono_histogram,
     random_cluster_graph,
     reduce_potts_to_bqcol,
 )
@@ -306,7 +306,7 @@ def test_c13_random_cluster_agreement():
     assert len(graphs) == 98
     for G in graphs:
         for q in (1, 2, 3, 4):
-            hist = potts_mono_histogram(G, q)
+            hist = hypergraph_mono_histogram(Hypergraph(G.n, G.edges), q)
             for gamma in (Fraction(1, 2), Fraction(1), Fraction(3)):
                 spin_side = sum(
                     count * (1 + gamma) ** k for k, count in hist.items()

@@ -414,6 +414,28 @@ def test_graph_header_above_the_vertex_bound(tmp_path, capsys):
     assert err.count("\n") == 1 and "1000000000 vertices, above the limit" in err
 
 
+def test_csp_header_above_the_variable_bound(tmp_path, capsys):
+    c = put(tmp_path, "big.csp", "csp 1000000000 0\n")
+    code, out, err = run(capsys, "csp-count", c)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "1000000000 variables, above the limit of 1000000" in err
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["wenum", "--lambda", "1/2", "{code}"], id="wenum"),
+    pytest.param(["verify", "potts-we", "-p", "1000000000000000003", "-k", "1",
+                  "--lambda", "1/2", "{graph}"], id="potts-we"),
+])
+def test_huge_field_order_is_refused(tmp_path, capsys, command):
+    # a prime: trial division up to its square root would take ~10^9 steps
+    files = {"code": put(tmp_path, "bigp.code", "code 1000000000000000003 1 1\n1\n"),
+             "graph": put(tmp_path, "k2.graph", K2)}
+    code, out, err = run(capsys, *(a.format(**files) for a in command))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert "field order 1000000000000000003 is above the limit of 1000000000000" in err
+
+
 @pytest.mark.parametrize("spec", ["star:100000000", "jq:500000"])
 def test_target_spec_above_the_vertex_bound(tmp_path, capsys, spec):
     g = put(tmp_path, "p3.graph", P3)

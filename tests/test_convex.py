@@ -53,7 +53,6 @@ def test_worked_seven_vertex_ordering():
     assert order.M == {1: 1, 2: 1, 3: 3, 4: 3}
     assert order.mp == {1: 1, 2: 3, 3: 3}
     assert order.Mp == {1: 3, 2: 3, 3: 4}
-    assert order.u_at(3) == 2 and order.up_at(1) == 4
 
 
 def test_convex_order_path4():

@@ -553,7 +553,7 @@ def test_certificate_tamper_detected():
 def test_certificate_value_and_oracle():
     cut = CutInstance(star_graph(3), (1, 2, 3))
     inst, cert = build_cut_to_whom(cut, junction_tree(3).graph)
-    assert certificate_value(cert) == count_ewhom(inst) == cert.value()
+    assert certificate_value(cert) == count_ewhom(inst)
     assert certificate_oracle(cert) == 3
 
 

@@ -36,6 +36,8 @@ def test_edge_normalisation_and_rejection():
     assert g.edges == ((0, 1), (2, 3))
     assert g.has_edge(1, 0) and g.has_edge(0, 1)
     assert not g.has_edge(0, 2)
+    # out of range is no edge; vertex -1 must not wrap around to vertex 3
+    assert not any(g.has_edge(u, v) for u, v in [(-1, 2), (2, -1), (4, 3), (3, 4), (-5, 9)])
     with pytest.raises(HomredError):
         Graph(3, [(0, 0)])
     with pytest.raises(HomredError):

@@ -22,11 +22,11 @@ from homred.homcount import (
     WALK_TABLE_ROWS,
     WeightTable,
     WalkProfile,
+    _SparseTable,
     _lump,
     complete_bipartite_whom,
     count_ewhom,
     count_hom,
-    count_hom_pinned,
     count_whom,
     format_walk_table,
     j3star_walk_table,
@@ -119,16 +119,6 @@ def test_count_whom_rejects_mismatched_table():
         count_whom(path_graph(2), path_graph(4), WeightTable(2, 3))
     with pytest.raises(HomredError):
         count_whom(path_graph(3), path_graph(4), WeightTable(2, 4))
-
-
-def test_count_hom_pinned():
-    G = path_graph(3)
-    H = path_graph(4)
-    total = sum(count_hom_pinned(G, H, {1: c}) for c in range(4))
-    assert total == count_hom(G, H)
-    assert count_hom_pinned(G, H, {0: 0, 2: 0}) == 1  # both ends on p1, middle on p2
-    assert count_hom_pinned(G, H, {0: 0, 2: 2}) == 1
-    assert count_hom_pinned(G, H, {0: 0, 2: 3}) == 0  # parity obstruction
 
 
 def test_count_ewhom_tables_and_multiplicities():
@@ -755,11 +745,11 @@ def test_count_ewhom_matches_naive_on_width_3_and_4_cores(data):
 def test_j3star_lumps_to_37_colours():
     H = j3star_tree().graph
     adjacency = [[(j, 1) for j in H.neighbours(i)] for i in range(H.n)]
-    h, weights, tables = _lump(H.n, [[1] * H.n], {(0, 1): adjacency})
+    h, weights, tables = _lump(H.n, [[1] * H.n], {(0, 1): adjacency}, _SparseTable)
     # 23 single colours, nine leaf pairs under z3, four leaf triples under
     # y2, and the five leaves under x1
     assert h == 37
     assert sorted(weights[0]) == [1] * 23 + [2] * 9 + [3] * 4 + [5]
     J5 = junction_tree(5).graph
     adjacency = [[(j, 1) for j in J5.neighbours(i)] for i in range(J5.n)]
-    assert _lump(J5.n, [[1] * J5.n], {(0, 1): adjacency}) is None
+    assert _lump(J5.n, [[1] * J5.n], {(0, 1): adjacency}, _SparseTable) is None

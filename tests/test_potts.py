@@ -22,10 +22,11 @@ from homred.potts import (
     hypergraph_mono_histogram,
     potts_graph,
     potts_hypergraph,
-    potts_mono_histogram,
     random_cluster_graph,
     reduce_potts_to_bqcol,
 )
+
+from oracles import naive_mono_histogram
 
 
 def naive_potts(G: Graph, q, gamma):
@@ -78,7 +79,7 @@ def test_q1_collapses_to_edge_product():
 
 def test_histogram_is_a_probability_count():
     G = path_graph(3)
-    hist = potts_mono_histogram(G, 2)
+    hist = hypergraph_mono_histogram(Hypergraph(G.n, G.edges), 2)
     assert hist == {0: 2, 1: 4, 2: 2}
     assert sum(hist.values()) == 2**3
     # evaluating the histogram polynomial reproduces the partition function
@@ -181,6 +182,17 @@ def test_graph_potts_matches_naive(case):
     assert potts_graph(G, q, gamma) == naive_potts(G, q, gamma)
 
 
+@settings(max_examples=120, deadline=None)
+@given(hypergraph_cases() | hypergraph_cases(uniform=2))
+@example((0, [], 3, Fraction(1)))
+@example((5, [(3,), (3,), (0, 2)], 2, Fraction(1)))
+@example((4, [(0, 1), (1, 2), (2, 3), (0, 3)], 3, Fraction(1)))
+def test_mono_histogram_matches_naive(case):
+    n, hyperedges, q, _ = case
+    hg = Hypergraph(n, hyperedges)
+    assert hypergraph_mono_histogram(hg, q) == naive_mono_histogram(hg, q)
+
+
 def test_enumeration_cap(monkeypatch):
     monkeypatch.setenv("HOMRED_ENUM_CAP", "10")
     with pytest.raises(HomredError):
@@ -196,7 +208,9 @@ def test_enumeration_cap(monkeypatch):
     "refused, steps",
     [
         pytest.param(lambda: potts_hypergraph(Hypergraph(2, [(0, 1)]), 2, 1), 4, id="potts"),
-        pytest.param(lambda: potts_mono_histogram(path_graph(3), 2), 8, id="potts-oracle"),
+        pytest.param(
+            lambda: hypergraph_mono_histogram(Hypergraph(3, [(0, 1), (1, 2)]), 2), 8, id="potts-oracle"
+        ),
         pytest.param(lambda: random_cluster_graph(cycle_graph(3), 2, 1), 8, id="random-cluster"),
         pytest.param(lambda: multiterminal_cuts(path_graph(5), (0, 2, 4)), 16, id="cuts"),
         pytest.param(
