@@ -23,7 +23,7 @@ from itertools import product
 
 from .errors import HomredError
 from .graphs import Graph
-from .potts import check_enumeration, potts_graph
+from .potts import ENUMERATION_CAP, check_enumeration, potts_graph
 
 
 MAX_FIELD_ORDER = 10**12  # is_prime takes up to sqrt(p) = 10^6 trial divisions here
@@ -161,6 +161,14 @@ class PottsCodeSystem:
         return sum(1 for v in self.b_vector(sigma) if v)
 
 
+def _check_potts_code_input(G: Graph, p: int, k: int):
+    _check_field_order(p)
+    if k < 1:
+        raise HomredError("need k >= 1 coordinates per vertex")
+    if G.n < 1 or not G.is_connected():
+        raise HomredError("the spin graph must be connected and nonempty")
+
+
 def build_potts_code(G: Graph, p: int, k: int) -> PottsCodeSystem:
     """Coupling between spins on a connected graph and a linear code.
 
@@ -169,11 +177,7 @@ def build_potts_code(G: Graph, p: int, k: int) -> PottsCodeSystem:
     alpha in F_p^k, carrying +alpha_i on v's block and -alpha_i on u's.
     The code is the column span, presented through a row-reduced basis.
     """
-    _check_field_order(p)
-    if k < 1:
-        raise HomredError("need k >= 1 coordinates per vertex")
-    if G.n < 1 or not G.is_connected():
-        raise HomredError("the spin graph must be connected and nonempty")
+    _check_potts_code_input(G, p, k)
     q = p**k
     n, m = G.n, len(G.edges)
     forms = _all_forms(p, k)
@@ -218,6 +222,17 @@ def verify_potts_we(G: Graph, p: int, k: int, lam) -> dict:
     lam = Fraction(lam)
     if not 0 < lam < 1:
         raise HomredError("the identity check expects lambda strictly between 0 and 1")
+    # Refuse the Potts side's q^n = p^(kn) spin assignments before the
+    # build, which makes all q forms.  As p >= 2, kn at or above the cap's
+    # bit length is over the cap, and p^k is not computed for a huge k.
+    _check_potts_code_input(G, p, k)
+    n = G.n
+    if k * n >= ENUMERATION_CAP.bit_length():
+        raise HomredError(
+            f"Potts sum on {n} vertices with q={p}^{k} needs {p}^{k * n} "
+            f"enumeration steps, above the cap of {ENUMERATION_CAP}"
+        )
+    check_enumeration(p ** (k * n), f"Potts sum on {n} vertices with q={p**k}")
     system = build_potts_code(G, p, k)
     gamma = potts_gamma_for_lambda(p, k, lam)
     m = len(G.edges)

@@ -110,7 +110,7 @@ def qualifying_leaves(H: Graph) -> list[int]:
     return out
 
 
-def convex_order(H: Graph, first_leaf: int | None = None) -> ConvexOrder:
+def convex_order(H: Graph) -> ConvexOrder:
     """A convex ordering of a junction-free tree.
 
     Peels the tree from a deepest-available leaf inward: the chosen
@@ -118,9 +118,8 @@ def convex_order(H: Graph, first_leaf: int | None = None) -> ConvexOrder:
     parent's leaf children turns the parent itself into such a leaf one
     level deeper.  The absence of an induced 3-branch junction is
     exactly what keeps this invariant alive, and is checked up front.
-
-    ``first_leaf`` overrides the starting leaf (smallest qualifying one
-    by default); every qualifying choice yields a valid ordering.
+    The peeling starts from the smallest qualifying leaf; every
+    qualifying choice yields a valid ordering.
     """
     if not H.is_tree():
         raise HomredError("convex orderings are built for trees")
@@ -131,19 +130,11 @@ def convex_order(H: Graph, first_leaf: int | None = None) -> ConvexOrder:
         pi = {0: 1}
         return ConvexOrder((0,), (), pi, {}, {1: 1}, {1: 0}, {}, {})
 
-    candidates = qualifying_leaves(H)
-    if first_leaf is not None:
-        if first_leaf not in candidates:
-            raise HomredError(f"vertex {first_leaf} is not a qualifying leaf")
-        u0 = first_leaf
-    else:
-        u0 = candidates[0]
-
     # Peel inward until the active tree is a star centred at u's parent,
     # recording each peeled layer; then number both sides outward.
     active = set(range(H.n))
     layers = []
-    u = u0
+    u0 = u = qualifying_leaves(H)[0]
     while True:
         up = next(t for t in H.neighbours(u) if t in active)
         up_nbs = [t for t in H.neighbours(up) if t in active]

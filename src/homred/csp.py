@@ -6,14 +6,15 @@ Weighted instances attach a nonnegative rational pair ``(g0, g1)`` to
 every variable; the weight of a satisfying assignment is the product of
 the matching entries and :func:`count_wcsp` sums these weights exactly.
 
-The counter propagates pins, collapses strongly connected components of
-the implication digraph (variables in a cycle of implications are
-equal), splits into weakly connected parts, and then branches on a
-high-degree variable: setting it to 1 fixes its forward closure, setting
-it to 0 fixes its backward closure, and both closures detach cleanly
-from the rest.  Results are memoised per active variable set, and the
-branching runs on an explicit stack, so its depth is not bounded by
-Python's recursion limit.
+The counter propagates pins, splits into weakly connected parts, and
+then branches on a high-degree variable: setting it to 1 fixes its
+forward closure, setting it to 0 fixes its backward closure, and both
+closures detach cleanly from the rest.  Cycles of implications need no
+collapse: a variable on a cycle through the branching variable lies in
+both of its closures, so each branch fixes the whole cycle at once.
+Results are memoised per active variable set, and the branching runs on
+an explicit stack, so its depth is not bounded by Python's recursion
+limit.
 
 :func:`compile_weight_gadget` removes the weights again: each variable
 grows two chains of small implication blocks whose standalone solution
@@ -105,66 +106,19 @@ def _closure(start, adj, allowed) -> set[int]:
     return out
 
 
-def _sccs(nodes: list[int], succ) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; returns components over ``nodes``."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack: list[int] = []
-    out = []
-    counter = 0
-    nodeset = set(nodes)
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter([v for v in succ[root] if v in nodeset]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            u, it = work[-1]
-            advanced = False
-            for v in it:
-                if v not in index:
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack.add(v)
-                    work.append((v, iter([t for t in succ[v] if t in nodeset])))
-                    advanced = True
-                    break
-                if v in on_stack:
-                    low[u] = min(low[u], index[v])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[u])
-            if low[u] == index[u]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.remove(w)
-                    comp.append(w)
-                    if w == u:
-                        break
-                out.append(comp)
-    return out
-
-
 def count_wcsp(inst: WeightedCspInstance) -> Fraction:
     """Sum of assignment weights over all satisfying assignments."""
     n = inst.nvars
-    succ = [[] for _ in range(n)]
-    pred = [[] for _ in range(n)]
+    g0 = [w[0] for w in inst.weights]
+    g1 = [w[1] for w in inst.weights]
+    succ = [set() for _ in range(n)]
+    pred = [set() for _ in range(n)]
     for x, y in inst.imps:
-        succ[x].append(y)
-        pred[y].append(x)
+        succ[x].add(y)
+        pred[y].add(x)
+    both = [succ[x] | pred[x] for x in range(n)]
 
     # Pin propagation: 1 flows forward, 0 flows backward.
-    val: list[int | None] = [None] * n
     everything = set(range(n))
     ones = _closure(inst.pins1, succ, everything)
     zeros = _closure(inst.pins0, pred, everything)
@@ -172,40 +126,11 @@ def count_wcsp(inst: WeightedCspInstance) -> Fraction:
         return Fraction(0)
     scalar = 1
     for x in ones:
-        val[x] = 1
-        scalar *= inst.weights[x][1]
+        scalar *= g1[x]
     for x in zeros:
-        val[x] = 0
-        scalar *= inst.weights[x][0]
+        scalar *= g0[x]
     if not scalar:
         return Fraction(0)
-
-    free = [x for x in range(n) if val[x] is None]
-
-    # Collapse implication cycles: every variable in an SCC is equal.
-    comps = _sccs(free, succ)
-    cid = {}
-    for i, comp in enumerate(comps):
-        for x in comp:
-            cid[x] = i
-    g0 = []
-    g1 = []
-    for comp in comps:
-        p0 = p1 = 1
-        for x in comp:
-            p0 *= inst.weights[x][0]
-            p1 *= inst.weights[x][1]
-        g0.append(p0)
-        g1.append(p1)
-    k = len(comps)
-    csucc = [set() for _ in range(k)]
-    cpred = [set() for _ in range(k)]
-    for x in free:
-        for y in succ[x]:
-            if val[y] is None and cid[x] != cid[y]:
-                csucc[cid[x]].add(cid[y])
-                cpred[cid[y]].add(cid[x])
-    cboth = [csucc[i] | cpred[i] for i in range(k)]
 
     memo: dict[frozenset[int], object] = {frozenset(): 1}
 
@@ -214,7 +139,7 @@ def count_wcsp(inst: WeightedCspInstance) -> Fraction:
         out = []
         while left:
             root = next(iter(left))
-            comp = _closure([root], cboth, left)
+            comp = _closure([root], both, left)
             left -= comp
             out.append(frozenset(comp))
         return out
@@ -225,14 +150,14 @@ def count_wcsp(inst: WeightedCspInstance) -> Fraction:
         parts = weak_components(active)
         if len(parts) > 1:
             return [(1, parts)]
-        if all(not (csucc[v] & active) for v in active):
+        if all(not (succ[v] & active) for v in active):
             result = 1
             for v in active:
                 result *= g0[v] + g1[v]
             return [(result, [])]
-        v = min(active, key=lambda u: (-len(cboth[u] & active), u))
-        fwd = frozenset(_closure([v], csucc, active))
-        bwd = frozenset(_closure([v], cpred, active))
+        v = min(active, key=lambda u: (-len(both[u] & active), u))
+        fwd = frozenset(_closure([v], succ, active))
+        bwd = frozenset(_closure([v], pred, active))
         hi = 1
         for u in fwd:
             hi *= g1[u]
@@ -268,7 +193,7 @@ def count_wcsp(inst: WeightedCspInstance) -> Fraction:
             memo[active] = result
         return memo[root]
 
-    return Fraction(scalar * solve(frozenset(range(k))))
+    return Fraction(scalar * solve(frozenset(everything - ones - zeros)))
 
 
 def count_csp(inst: CspInstance) -> int:

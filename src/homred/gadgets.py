@@ -105,7 +105,7 @@ class CutInstance:
 def _check_cut_input(G: Graph, terminals):
     CutInstance(G, tuple(terminals))
     m = len(G.edges)
-    check_enumeration(2**m, f"cut enumeration over {m} edges", default=2**24)
+    check_enumeration(2**m, f"cut enumeration over {m} edges", cap=2**24)
 
 
 def multiterminal_cuts(G: Graph, terminals) -> tuple[int, int]:

@@ -27,13 +27,11 @@ sum) beyond a cap of 10^8, and the elimination path keeps the same
 refusal.  :func:`check_enumeration` is the package's one enumeration
 budget: the cuts of :mod:`homred.gadgets` (2^m above 2^24) and the
 codeword and spin enumerations of :mod:`homred.codes` are refused
-through it too, all with one message, and the HOMRED_ENUM_CAP
-environment variable overrides every default.
+through it too, all with one message.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
@@ -43,14 +41,11 @@ from .graphs import Graph, Hypergraph, complete_graph, two_stretch
 from .homcount import count_hom, sum_product
 
 
-def enumeration_cap(default: int = 10**8) -> int:
-    """The enumeration budget: HOMRED_ENUM_CAP when set, else ``default``."""
-    return int(os.environ.get("HOMRED_ENUM_CAP", str(default)))
+ENUMERATION_CAP = 10**8
 
 
-def check_enumeration(steps: int, what: str, default: int = 10**8):
-    """Refuse ``what`` when its ``steps`` exceed :func:`enumeration_cap`."""
-    cap = enumeration_cap(default)
+def check_enumeration(steps: int, what: str, cap: int = ENUMERATION_CAP):
+    """Refuse ``what`` when its ``steps`` exceed ``cap``."""
     if steps > cap:
         raise HomredError(f"{what} needs {steps} enumeration steps, above the cap of {cap}")
 

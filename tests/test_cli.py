@@ -436,6 +436,35 @@ def test_huge_field_order_is_refused(tmp_path, capsys, command):
     assert "field order 1000000000000000003 is above the limit of 1000000000000" in err
 
 
+def test_verify_potts_we_refuses_a_large_field_before_building(tmp_path, capsys):
+    # a prime below the field limit: the build would make q = p forms
+    g = put(tmp_path, "k2.graph", K2)
+    code, out, err = run(capsys, "verify", "potts-we", "-p", "999999999989", "-k", "1",
+                         "--lambda", "1/2", g)
+    assert code == 2 and out == ""
+    assert err == ("error: Potts sum on 2 vertices with q=999999999989 needs "
+                   "999999999978000000000121 enumeration steps, above the cap of 100000000\n")
+
+
+def test_verify_potts_we_refuses_a_huge_k_before_building(tmp_path, capsys):
+    # 2^100000000 forms; the refusal never computes p^k
+    g = put(tmp_path, "k2.graph", K2)
+    code, out, err = run(capsys, "verify", "potts-we", "-p", "2", "-k", "100000000",
+                         "--lambda", "1/2", g)
+    assert code == 2 and out == ""
+    assert err == ("error: Potts sum on 2 vertices with q=2^100000000 needs 2^200000000 "
+                   "enumeration steps, above the cap of 100000000\n")
+
+
+def test_enum_cap_variable_is_ignored(tmp_path, capsys, monkeypatch):
+    g = put(tmp_path, "k2.graph", K2)
+    want = run(capsys, "potts", "-q", "3", "--gamma", "1", g)
+    monkeypatch.setenv("HOMRED_ENUM_CAP", "abc")
+    assert run(capsys, "potts", "-q", "3", "--gamma", "1", g) == want
+    monkeypatch.setenv("HOMRED_ENUM_CAP", "1")
+    assert run(capsys, "potts", "-q", "3", "--gamma", "1", g) == want
+
+
 @pytest.mark.parametrize("spec", ["star:100000000", "jq:500000"])
 def test_target_spec_above_the_vertex_bound(tmp_path, capsys, spec):
     g = put(tmp_path, "p3.graph", P3)

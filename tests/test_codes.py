@@ -104,10 +104,10 @@ def test_weight_enumerator_vs_naive():
             assert weight_enumerator(code, lam) == naive_enumerator(rows, p, ncols, lam)
 
 
-def test_weight_enumerator_cap(monkeypatch):
-    monkeypatch.setenv("HOMRED_ENUM_CAP", "3")
-    code = LinearCode(2, 2, ((1, 0), (0, 1)))
-    with pytest.raises(HomredError, match="above the cap of 3"):
+def test_weight_enumerator_cap():
+    identity = tuple(tuple(int(i == j) for j in range(27)) for i in range(27))
+    code = LinearCode(2, 27, identity)  # 2^27 codewords
+    with pytest.raises(HomredError, match="above the cap of 100000000"):
         weight_enumerator(code, Fraction(1, 2))
 
 
@@ -204,10 +204,9 @@ def test_q_to_one():
             assert check_q_to_one(build_potts_code(G, p, k))
 
 
-def test_q_to_one_cap(monkeypatch):
-    monkeypatch.setenv("HOMRED_ENUM_CAP", "3")
-    system = build_potts_code(Graph(2, [(0, 1)]), 2, 1)
-    with pytest.raises(HomredError, match="above the cap"):
+def test_q_to_one_cap():
+    system = build_potts_code(path_graph(27), 2, 1)  # 2^27 spin assignments
+    with pytest.raises(HomredError, match="needs 134217728 enumeration steps, above the cap"):
         check_q_to_one(system)
 
 

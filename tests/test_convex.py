@@ -108,27 +108,26 @@ def test_qualifying_leaves():
     assert qualifying_leaves(spider) == [2, 4]
 
 
-def test_first_leaf_must_qualify():
-    spider = Graph(6, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5)])
-    with pytest.raises(HomredError, match="not a qualifying leaf"):
-        convex_order(spider, first_leaf=1)
-    order = convex_order(spider, first_leaf=2)
-    assert order.pi[2] == order.h  # the chosen leaf lands last on its side
-
-
 def test_every_qualifying_leaf_gives_valid_order():
     # convex_order_from_bijections re-checks the interval property, so
-    # building the order at all certifies convexity.
+    # building the order at all certifies convexity.  Swapping a leaf
+    # with vertex 0 makes it the smallest qualifying leaf, where the
+    # peeling starts.
     for tree in junction_free_trees(10):
         if tree.n < 2:
             continue
         leaves = qualifying_leaves(tree)
         assert leaves
         for leaf in leaves:
-            order = convex_order(tree, first_leaf=leaf)
+            swap = {0: leaf, leaf: 0}
+            swapped = Graph(tree.n, [(swap.get(u, u), swap.get(v, v)) for u, v in tree.edges])
+            assert qualifying_leaves(swapped)[0] == 0
+            order = convex_order(swapped)
             assert sorted(order.U + order.Up) == list(range(tree.n))
             assert sorted(order.pi.values()) == list(range(1, order.h + 1))
             assert sorted(order.pip.values()) == list(range(1, order.hp + 1))
+            # the starting leaf lands last on its side
+            assert (order.pi[0] == order.h) if 0 in order.pi else (order.pip[0] == order.hp)
 
 
 def test_bijection_validation():

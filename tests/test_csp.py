@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homred.csp import (
     BitExpansion,
@@ -109,6 +109,50 @@ def test_count_wcsp_matches_bruteforce():
         )
         inst = WeightedCspInstance(n, imps=imps, weights=weights)
         assert count_wcsp(inst) == naive_csp(n, imps, weights=weights)
+
+
+@st.composite
+def cyclic_wcsps(draw):
+    """Up to 12 variables: planted cycles of implications, random extra
+    implications between and out of them, a few pins, and weights that
+    are often zero."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    var = st.integers(min_value=0, max_value=n - 1)
+    cycles = draw(st.lists(st.lists(var, min_size=2, max_size=n, unique=True), max_size=3))
+    imps = [(c[i], c[(i + 1) % len(c)]) for c in cycles for i in range(len(c))]
+    imps += draw(st.lists(st.tuples(var, var).filter(lambda e: e[0] != e[1]), max_size=n))
+    pins0 = draw(st.sets(var, max_size=2))
+    pins1 = draw(st.sets(var, max_size=2))
+    weight = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2)])
+    weights = draw(st.lists(st.tuples(weight, weight), min_size=n, max_size=n))
+    return n, imps, pins0, pins1, weights
+
+
+def _cycle(*vs):
+    return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
+
+
+W = (Fraction(2), Fraction(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(cyclic_wcsps())
+# 2-cycles side by side, and one joined to a third variable
+@example((5, _cycle(0, 1) + _cycle(2, 3) + [(3, 4)], set(), set(), [W] * 5))
+# one long cycle with a tail on each side
+@example((12, _cycle(*range(10)) + [(10, 0), (5, 11)], set(), set(), [W] * 12))
+# two strongly connected components joined by implications both ways round a DAG
+@example((9, _cycle(0, 1, 2) + _cycle(3, 4, 5) + [(0, 3), (2, 5), (6, 0), (5, 7), (8, 4)],
+          set(), set(), [W] * 9))
+# a cycle through a variable pinned to 1, and one through a variable pinned to 0
+@example((8, _cycle(0, 1, 2) + _cycle(3, 4, 5) + [(6, 0), (5, 7)], {4}, {1}, [W] * 8))
+# zero weights on cycle members: each kills one value of the whole cycle
+@example((6, _cycle(0, 1, 2, 3) + [(3, 4), (5, 0)], set(), set(),
+          [W, (Fraction(0), Fraction(3)), W, (Fraction(5, 2), Fraction(0)), W, W]))
+def test_count_wcsp_matches_naive_with_planted_cycles(case):
+    n, imps, pins0, pins1, weights = case
+    inst = WeightedCspInstance(n, tuple(imps), pins0, pins1, tuple(weights))
+    assert count_wcsp(inst) == naive_csp(n, imps, pins0, pins1, weights)
 
 
 def test_running_example():

@@ -174,10 +174,9 @@ def test_cut_terminals_out_of_range(count, terminals):
         count(cycle_graph(5), terminals)
 
 
-def test_cut_enumeration_cap(monkeypatch):
-    monkeypatch.setenv("HOMRED_ENUM_CAP", "4")
-    with pytest.raises(HomredError, match="above the cap"):
-        multiterminal_cuts(path_graph(5), (0, 2, 4))
+def test_cut_enumeration_cap():
+    with pytest.raises(HomredError, match="needs 33554432 enumeration steps, above the cap of 16777216"):
+        multiterminal_cuts(path_graph(26), (0, 12, 25))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from homred.codes import LinearCode, build_potts_code, check_q_to_one, weight_en
 from homred.gadgets import multiterminal_cuts
 from homred.potts import (
     count_proper_colourings,
-    enumeration_cap,
     hypergraph_mono_histogram,
     potts_graph,
     potts_hypergraph,
@@ -193,41 +192,54 @@ def test_mono_histogram_matches_naive(case):
     assert hypergraph_mono_histogram(hg, q) == naive_mono_histogram(hg, q)
 
 
-def test_enumeration_cap(monkeypatch):
-    monkeypatch.setenv("HOMRED_ENUM_CAP", "10")
-    with pytest.raises(HomredError):
-        potts_hypergraph(Hypergraph(4, [(0, 1, 2)]), 2, Fraction(1))
-    monkeypatch.setenv("HOMRED_ENUM_CAP", "16")
-    assert potts_hypergraph(Hypergraph(4, [(0, 1, 2)]), 2, Fraction(1)) == 20
-    monkeypatch.delenv("HOMRED_ENUM_CAP")
-    assert enumeration_cap() == 10**8
-    assert enumeration_cap(default=7) == 7
+def test_enumeration_cap():
+    # 10^8 = q^n itself is allowed: (10^3 + 10) on the hyperedge times
+    # 10 per isolated vertex
+    assert potts_hypergraph(Hypergraph(8, [(0, 1, 2)]), 10, Fraction(1)) == 1010 * 10**5
+    with pytest.raises(HomredError, match="needs 129140163 enumeration steps"):
+        potts_hypergraph(Hypergraph(17, [(0, 1, 2)]), 3, Fraction(1))
+
+
+def _identity_rows(k):
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
 @pytest.mark.parametrize(
-    "refused, steps",
+    "refused, steps, cap",
     [
-        pytest.param(lambda: potts_hypergraph(Hypergraph(2, [(0, 1)]), 2, 1), 4, id="potts"),
         pytest.param(
-            lambda: hypergraph_mono_histogram(Hypergraph(3, [(0, 1), (1, 2)]), 2), 8, id="potts-oracle"
+            lambda: potts_hypergraph(Hypergraph(17, [(0, 1)]), 3, 1), 3**17, 10**8, id="potts"
         ),
-        pytest.param(lambda: random_cluster_graph(cycle_graph(3), 2, 1), 8, id="random-cluster"),
-        pytest.param(lambda: multiterminal_cuts(path_graph(5), (0, 2, 4)), 16, id="cuts"),
         pytest.param(
-            lambda: weight_enumerator(LinearCode(2, 2, ((1, 0), (0, 1))), Fraction(1, 2)),
-            4,
+            lambda: hypergraph_mono_histogram(Hypergraph(17, [(0, 1), (1, 2)]), 3),
+            3**17,
+            10**8,
+            id="potts-oracle",
+        ),
+        pytest.param(
+            lambda: random_cluster_graph(cycle_graph(27), 2, 1), 2**27, 10**8, id="random-cluster"
+        ),
+        pytest.param(
+            lambda: multiterminal_cuts(path_graph(26), (0, 12, 25)), 2**25, 2**24, id="cuts"
+        ),
+        pytest.param(
+            lambda: weight_enumerator(LinearCode(2, 27, _identity_rows(27)), Fraction(1, 2)),
+            2**27,
+            10**8,
             id="codewords",
         ),
         pytest.param(
-            lambda: check_q_to_one(build_potts_code(path_graph(3), 2, 1)), 8, id="q-to-one"
+            lambda: check_q_to_one(build_potts_code(path_graph(27), 2, 1)),
+            2**27,
+            10**8,
+            id="q-to-one",
         ),
     ],
 )
-def test_every_enumeration_refusal_shares_one_budget(monkeypatch, refused, steps):
-    monkeypatch.setenv("HOMRED_ENUM_CAP", "3")
+def test_every_enumeration_refusal_shares_one_budget(refused, steps, cap):
     with pytest.raises(HomredError) as exc:
         refused()
-    assert str(exc.value).endswith(f" needs {steps} enumeration steps, above the cap of 3")
+    assert str(exc.value).endswith(f" needs {steps} enumeration steps, above the cap of {cap}")
 
 
 def test_validation():
