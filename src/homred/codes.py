@@ -3,7 +3,8 @@
 A :class:`LinearCode` is the row span of a generator matrix over F_p.
 :func:`weight_enumerator` evaluates  W(lam) = sum_{c in C} lam^{wt(c)}
 exactly by enumerating the p^rank distinct codewords from a row-reduced
-basis.
+basis; its budget counts p^rank * rank * ncols steps, the work of
+building every codeword.
 
 :func:`build_potts_code` attaches to a connected graph the classical
 coupling between its q-state Potts partition function (q = p^k) and a
@@ -105,7 +106,11 @@ def weight_enumerator(code: LinearCode, lam) -> Fraction:
     basis = row_reduce(code.rows, code.p)
     rank = len(basis)
     p = code.p
-    check_enumeration(p**rank, f"weight enumerator of a rank-{rank} code over F_{p}")
+    # each of the p^rank codewords costs up to rank * ncols steps to build
+    check_enumeration(
+        p**rank * rank * code.ncols,
+        f"weight enumerator of a rank-{rank} code of length {code.ncols} over F_{p}",
+    )
     powers = [Fraction(1)]
     for _ in range(code.ncols):
         powers.append(powers[-1] * lam)

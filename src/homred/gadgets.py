@@ -771,28 +771,29 @@ def materialise_cut_to_j3star(cut: CutInstance, s: int, r: int) -> Graph:
     per edge and r physical pendant branches per discriminating gadget.
     Counting plain homomorphisms into the 58-vertex tree agrees with
     the folded instance.
+
+    New vertices are numbered from n + 7 on: the midpoints edge by edge,
+    then the x leaves, the y branches as pairs (tip, root) and the z
+    branches as triples (tip, middle, root).  Each edge family below is
+    one ascending run, so sorting the edge list is close to linear.
     """
     (v_x1, v_y1, v_z1), edges = _j3star_scaffold(cut)
-    nxt = cut.graph.n + 7
-
-    def fresh() -> int:
-        nonlocal nxt
-        nxt += 1
-        return nxt - 1
-
+    x = cut.graph.n + 7
     for u, v in cut.graph.edges:
-        for _ in range(s):
-            mid = fresh()
-            edges += [(u, mid), (mid, v)]
-    for _ in range(r):
-        edges.append((v_x1, fresh()))
-    for _ in range(r):
-        a, bvert = fresh(), fresh()
-        edges += [(v_y1, bvert), (bvert, a)]
-    for _ in range(r):
-        a, bvert, c = fresh(), fresh(), fresh()
-        edges += [(v_z1, c), (c, bvert), (bvert, a)]
-    return Graph(nxt, edges)
+        mids = range(x, x + s)
+        edges += [(u, mid) for mid in mids]
+        edges += [(v, mid) for mid in mids]
+        x += s
+    y = x + r
+    z = y + 2 * r
+    end = z + 3 * r
+    edges += [(v_x1, a) for a in range(x, y)]
+    edges += [(v_y1, a + 1) for a in range(y, z, 2)]
+    edges += [(a, a + 1) for a in range(y, z, 2)]
+    edges += [(v_z1, a + 2) for a in range(z, end, 3)]
+    edges += [(a + 1, a + 2) for a in range(z, end, 3)]
+    edges += [(a, a + 1) for a in range(z, end, 3)]
+    return Graph(end, edges)
 
 
 def materialised_value(cert: ReductionCertificate) -> Fraction:

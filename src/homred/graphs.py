@@ -1,9 +1,11 @@
 """Simple undirected graphs, hypergraphs, and the named target trees.
 
 Vertices are dense 0-based integers.  A ``Graph`` is immutable after
-construction and carries its bipartition (or ``None`` when the graph is
-not bipartite), computed on first read and kept, so downstream code
-never recomputes 2-colourings.
+construction.  Building one orients and sorts the edge list and checks
+it, nothing more: its adjacency lists and its bipartition (or ``None``
+when the graph is not bipartite) are computed on first read and kept,
+so a graph that is only formatted never pays for them, and downstream
+code never recomputes 2-colourings.
 Only the junction trees (:func:`junction_tree`, and the decorated
 :func:`j3star_tree` of the hardness construction) carry a label map from
 human names to vertex ids; gadget builders address their vertices
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from operator import eq
+from operator import eq, lt
 
 from .errors import HomredError
 
@@ -50,9 +52,12 @@ def _reject(n: int, edges):
 class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
-    Self-loops and duplicate edges are rejected.  ``bipartition`` is a
-    pair of frozensets covering all vertices (every edge crossing), or
-    ``None``; each connected component's smallest vertex lands on the
+    Self-loops and duplicate edges are rejected.  ``edges`` holds each
+    edge once as ``(u, v)`` with ``u < v``, sorted.  The sorted neighbour
+    lists behind :meth:`neighbours`, :meth:`degree` and :meth:`has_edge`
+    are built on first read.  ``bipartition``, also built on first read,
+    is a pair of frozensets covering all vertices (every edge crossing),
+    or ``None``; each connected component's smallest vertex lands on the
     left side, so the partition is deterministic.
     """
 
@@ -63,19 +68,26 @@ class Graph:
             raise HomredError("vertex count must be nonnegative")
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)
-        norm = sorted({(u, v) if u < v else (v, u) for u, v in edges})
+        norm = [(u, v) if u < v else (v, u) for u, v in edges]
+        norm.sort()
         if norm:
+            # sorted, the first endpoint is the least; a duplicate sits
+            # next to its twin
             lo, hi = zip(*norm)
-            if len(norm) != len(edges) or lo[0] < 0 or max(hi) >= n or any(map(eq, lo, hi)):
+            if lo[0] < 0 or max(hi) >= n or any(map(eq, lo, hi)) or not all(map(lt, norm, norm[1:])):
                 _reject(n, edges)
         self.n = n
         self.edges = tuple(norm)
-        adj = [[] for _ in range(n)]
-        for u, v in norm:  # sorted edges leave every list sorted
+        self._adj = None
+        self._bipartition = _UNKNOWN
+
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        adj = [[] for _ in range(self.n)]
+        for u, v in self.edges:  # sorted edges leave every list sorted
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(map(tuple, adj))
-        self._bipartition = _UNKNOWN
+        return self._adj
 
     @property
     def bipartition(self):
@@ -84,6 +96,7 @@ class Graph:
         return self._bipartition
 
     def _two_colour(self):
+        adj = self._adj or self._adjacency()
         colour = [-1] * self.n
         for root in range(self.n):
             if colour[root] != -1:
@@ -92,7 +105,7 @@ class Graph:
             queue = deque([root])
             while queue:
                 u = queue.popleft()
-                for v in self._adj[u]:
+                for v in adj[u]:
                     if colour[v] == -1:
                         colour[v] = 1 - colour[u]
                         queue.append(v)
@@ -103,13 +116,13 @@ class Graph:
         return (left, right)
 
     def neighbours(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return (self._adj or self._adjacency())[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len((self._adj or self._adjacency())[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and v in self._adj[u]
+        return 0 <= u < self.n and v in (self._adj or self._adjacency())[u]
 
     def __eq__(self, other):
         return (

@@ -102,15 +102,22 @@ class WeightTable:
         if self.h < 1:
             raise HomredError("weight table needs at least one colour")
         clean = {}
+        # one conversion per distinct row object: gadget builders hand one
+        # row to many vertices.  The dict keeps every row alive, so no id
+        # is reused during the loop.
+        converted = {}
         for v, row in self.rows.items():
             if not 0 <= v < self.n:
                 raise HomredError(f"weight row for out-of-range vertex {v}")
-            row = tuple(Fraction(x) for x in row)
-            if len(row) != self.h:
-                raise HomredError(f"weight row for vertex {v} has {len(row)} entries, needs {self.h}")
-            if any(x < 0 for x in row):
-                raise HomredError(f"negative weight on vertex {v}")
-            clean[v] = row
+            got = converted.get(id(row))
+            if got is None:
+                got = tuple(Fraction(x) for x in row)
+                if len(got) != self.h:
+                    raise HomredError(f"weight row for vertex {v} has {len(got)} entries, needs {self.h}")
+                if any(x < 0 for x in got):
+                    raise HomredError(f"negative weight on vertex {v}")
+                converted[id(row)] = got
+            clean[v] = got
         self.rows = clean
 
     def row(self, v: int) -> tuple[Fraction, ...]:

@@ -70,6 +70,43 @@ def naive_ewhom(G: Graph, H: Graph, vertex_weights=None, edge_tables=None, edge_
     return total
 
 
+def naive_graph_error(n: int, edges) -> str | None:
+    """The message a graph on ``n`` vertices must be refused with: the
+    first edge, in input order, that is out of range, a self-loop or a
+    repeat of an earlier edge in either orientation; ``None`` if valid."""
+    earlier = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) out of range for n={n}"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        if frozenset((u, v)) in earlier:
+            return f"duplicate edge ({min(u, v)},{max(u, v)})"
+        earlier.add(frozenset((u, v)))
+    return None
+
+
+def naive_graph_view(n: int, edges):
+    """``(edges, neighbour lists, bipartition)`` of a valid edge list, by
+    networkx: sorted ``(u, v)`` pairs with u < v; sorted neighbours per
+    vertex; and the sides by the parity of the distance from each
+    component's smallest vertex, or ``None`` if some edge joins equal
+    parities."""
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    edge_list = sorted((min(e), max(e)) for e in g.edges())
+    nbrs = [sorted(g.neighbors(v)) for v in range(n)]
+    parity = {}
+    for comp in nx.connected_components(g):
+        for v, d in nx.single_source_shortest_path_length(g, min(comp)).items():
+            parity[v] = d % 2
+    if any(parity[u] == parity[v] for u, v in edge_list):
+        return edge_list, nbrs, None
+    sides = tuple(frozenset(v for v in range(n) if parity[v] == side) for side in (0, 1))
+    return edge_list, nbrs, sides
+
+
 def dense_adjacency(H: Graph) -> list[list[int]]:
     """The adjacency matrix of H as an ``h x h`` list of lists."""
     A = [[0] * H.n for _ in range(H.n)]

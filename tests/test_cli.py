@@ -456,6 +456,15 @@ def test_verify_potts_we_refuses_a_huge_k_before_building(tmp_path, capsys):
                    "enumeration steps, above the cap of 100000000\n")
 
 
+def test_verify_potts_we_refuses_a_long_code_by_its_work(tmp_path, capsys):
+    # 2^13 codewords are under the cap, but each is 8192 coordinates long
+    g = put(tmp_path, "k2.graph", K2)
+    code, out, err = run(capsys, "verify", "potts-we", "-p", "2", "-k", "13", "--lambda", "1/2", g)
+    assert code == 2 and out == ""
+    assert err == ("error: weight enumerator of a rank-13 code of length 8192 over F_2 needs "
+                   f"{2**13 * 13 * 8192} enumeration steps, above the cap of 100000000\n")
+
+
 def test_enum_cap_variable_is_ignored(tmp_path, capsys, monkeypatch):
     g = put(tmp_path, "k2.graph", K2)
     want = run(capsys, "potts", "-q", "3", "--gamma", "1", g)

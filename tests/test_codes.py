@@ -106,8 +106,8 @@ def test_weight_enumerator_vs_naive():
 
 def test_weight_enumerator_cap():
     identity = tuple(tuple(int(i == j) for j in range(27)) for i in range(27))
-    code = LinearCode(2, 27, identity)  # 2^27 codewords
-    with pytest.raises(HomredError, match="above the cap of 100000000"):
+    code = LinearCode(2, 27, identity)  # 2^27 codewords of 27 coordinates each
+    with pytest.raises(HomredError, match=f"needs {2**27 * 27 * 27} enumeration steps, above the cap of 100000000"):
         weight_enumerator(code, Fraction(1, 2))
 
 

@@ -492,6 +492,80 @@ def test_materialised_files_are_frozen():
     assert got == MATERIALISED_SHA256
 
 
+# the certify workload's cut trees with its terminals, and a triangle
+MATERIALISED_CUTS = (
+    ("P3", path_graph(3), (0, 1, 2)),
+    ("K13", star_graph(3), (1, 2, 3)),
+    ("P4", path_graph(4), (0, 1, 3)),
+    ("C3", cycle_graph(3), (0, 1, 2)),
+)
+
+
+def _counter_text(total, edges, rows=None):
+    """The emitted files of a graph numbered by a running counter, written
+    out here without the package's graph or format code."""
+    lines = sorted((min(u, v), max(u, v)) for u, v in edges)
+    text = f"graph {total} {len(lines)}\n" + "".join(f"e {u} {v}\n" for u, v in lines)
+    if rows is not None:
+        h = len(rows[0])
+        text += f"weights {total} {h}\n" + "".join(
+            f"w {v} " + " ".join(map(str, rows[v])) + "\n" for v in range(total)
+        )
+    return text
+
+
+@pytest.mark.parametrize("name, G, terminals", MATERIALISED_CUTS, ids=[c[0] for c in MATERIALISED_CUTS])
+def test_materialised_j3star_graph_is_numbered_by_a_running_counter(name, G, terminals):
+    cut = CutInstance(G, terminals)
+    _, cert = build_cut_to_j3star(cut)
+    for s, r in ((cert.constants["s"], cert.constants["r"]), (1, 1)):
+        n = G.n
+        w, x0, x1, y0, y1, z0, z1 = range(n, n + 7)
+        edges = [(w, x0), (w, y0), (w, z0), (x0, x1), (y0, y1), (z0, z1)]
+        edges += [(x1, terminals[0]), (y1, terminals[1]), (z1, terminals[2])]
+        edges += [(w, v) for v in range(n)]
+        counter = itertools.count(n + 7)
+        for u, v in G.edges:
+            for _ in range(s):
+                mid = next(counter)
+                edges += [(u, mid), (mid, v)]
+        for _ in range(r):
+            edges.append((x1, next(counter)))
+        for _ in range(r):
+            tip, root = next(counter), next(counter)
+            edges += [(y1, root), (root, tip)]
+        for _ in range(r):
+            tip, middle, root = next(counter), next(counter), next(counter)
+            edges += [(z1, root), (root, middle), (middle, tip)]
+        want = _counter_text(next(counter), edges)
+        # as lines, so that a failure names the first differing line cheaply
+        assert format_graph(materialise_cut_to_j3star(cut, s, r)).splitlines() == want.splitlines()
+
+
+@pytest.mark.parametrize("name, G, terminals", MATERIALISED_CUTS, ids=[c[0] for c in MATERIALISED_CUTS])
+def test_materialised_whom_files_are_numbered_by_a_running_counter(name, G, terminals):
+    cut = CutInstance(G, terminals)
+    H = junction_tree(3).graph
+    _, cert = build_cut_to_whom(cut, H)
+    roles = find_induced_j3(H)
+    roots = [roles["x0"], roles["y0"], roles["z0"]]
+    mid_row = tuple(int(c in [roles[k] for k in ("w", "x1", "y1", "z1")]) for c in range(H.n))
+    for s in (cert.constants["s"], 1):
+        rows = [tuple(int(c in roots) for c in range(H.n)) for _ in range(G.n)]
+        for t, root in zip(terminals, roots):
+            rows[t] = tuple(int(c == root) for c in range(H.n))
+        edges = []
+        counter = itertools.count(G.n)
+        for u, v in G.edges:
+            for _ in range(s):
+                mid = next(counter)
+                edges += [(u, mid), (mid, v)]
+                rows.append(mid_row)
+        g, wt = materialise_cut_to_whom(cut, H, s)
+        got = format_graph(g) + format_weights(wt)
+        assert got.splitlines() == _counter_text(next(counter), edges, rows).splitlines()
+
+
 def test_materialised_value_matches_certificate_value():
     cut = CutInstance(path_graph(3), (0, 1, 2))
     folded = [

@@ -2,6 +2,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homred.errors import HomredError
 from homred.graphs import (
@@ -26,6 +27,8 @@ from homred.graphs import (
 from oracles import (
     ahu_canonical,
     naive_contains_induced_tree,
+    naive_graph_error,
+    naive_graph_view,
     nonisomorphic_trees,
     random_tree,
 )
@@ -70,6 +73,65 @@ def test_adjacency_sorted_from_any_edge_order():
     assert g.edges == tuple(edges)
     for v in range(9):
         assert list(g.neighbours(v)) == sorted({b for a, b in edges if a == v} | {a for a, b in edges if b == v})
+
+
+@st.composite
+def edge_list_cases(draw):
+    """A shuffled edge list with random orientations, on up to 3,000
+    vertices and up to a few thousand edges (bipartite about half the
+    time), and possibly one injected bad edge: a duplicate, a reversed
+    duplicate, a self-loop or an out-of-range endpoint."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.one_of(st.integers(1, 12), st.integers(13, 3000)))
+    m = draw(st.integers(0, min(n * (n - 1) // 2, 3000)))
+    side = [rng.random() < 0.5 for _ in range(n)] if draw(st.booleans()) else None
+    pairs = set()
+    for _ in range(4 * m):
+        if len(pairs) == m:
+            break
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and (side is None or side[u] != side[v]):
+            pairs.add((min(u, v), max(u, v)))
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+    rng.shuffle(edges)
+    bad = draw(st.sampled_from((None, "duplicate", "reversed", "self-loop", "range")))
+    if bad in ("duplicate", "reversed") and not edges:
+        bad = "self-loop"
+    if bad is not None:
+        if bad in ("duplicate", "reversed"):
+            u, v = rng.choice(edges)
+            extra = (v, u) if bad == "reversed" else (u, v)
+        elif bad == "self-loop":
+            extra = (rng.randrange(n),) * 2
+        else:
+            far = rng.choice((-1 - rng.randrange(3), n + rng.randrange(3)))
+            extra = (far, rng.randrange(n)) if rng.random() < 0.5 else (rng.randrange(n), far)
+        edges.insert(rng.randrange(len(edges) + 1), extra)
+    return n, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_list_cases(), st.booleans())
+def test_graph_matches_naive_reference(case, as_iterator):
+    n, edges = case
+    message = naive_graph_error(n, edges)
+    if message is not None:
+        with pytest.raises(HomredError) as exc:
+            Graph(n, iter(edges) if as_iterator else edges)
+        assert str(exc.value) == message
+        return
+    g = Graph(n, iter(edges) if as_iterator else edges)
+    want_edges, want_nbrs, want_sides = naive_graph_view(n, edges)
+    assert g.edges == tuple(want_edges)
+    assert g.bipartition == want_sides  # read first: it builds the adjacency itself
+    assert [list(g.neighbours(v)) for v in range(n)] == want_nbrs
+    assert [g.degree(v) for v in range(n)] == [len(nb) for nb in want_nbrs]
+    present = set(want_edges)
+    probes = edges[:50] + [(v, u) for u, v in edges[:50]]
+    probes += [(u, v) for u in range(min(n, 8)) for v in range(min(n, 8))]
+    probes += [(-1, 0), (0, -1), (n, 0), (0, n)]
+    for u, v in probes:
+        assert g.has_edge(u, v) == ((min(u, v), max(u, v)) in present)
 
 
 def test_degrees_and_neighbours():

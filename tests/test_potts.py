@@ -224,7 +224,7 @@ def _identity_rows(k):
         ),
         pytest.param(
             lambda: weight_enumerator(LinearCode(2, 27, _identity_rows(27)), Fraction(1, 2)),
-            2**27,
+            2**27 * 27 * 27,
             10**8,
             id="codewords",
         ),
